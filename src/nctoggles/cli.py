@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .dynamics import check_homomesy, orbits, parse_statistic
+from .dynamics import check_homomesy, orbit_masks, orbits, parse_statistic
 from .indsets import (
     GraphSizeError,
     Multigraph,
@@ -154,19 +154,21 @@ def _cmd_toggle(args) -> int:
 
 def _cmd_orbits(args) -> int:
     word = _load_word(args)
-    orbit_list = orbits(word, _enum_limit(args), threads=args.threads)
-    sizes = sorted(o.size for o in orbit_list)
-    payload = {
-        "n": args.n,
-        "word": word.to_text(),
-        "orbit_count": len(orbit_list),
-        "sizes": sizes,
-        "orbits": [[p.to_json_dict()["arcs"] for p in o.elements] for o in orbit_list],
-    }
+    limit = _enum_limit(args)
+    payload: dict = {"n": args.n, "word": word.to_text()}
     if args.sizes_only:
-        payload.pop("orbits")
+        sizes = sorted(map(len, orbit_masks(word, limit)))
+        payload.update(orbit_count=len(sizes), sizes=sizes)
         _emit(args, lambda: " ".join(map(str, sizes)), payload)
         return OK
+    orbit_list = orbits(word, limit)
+    payload.update(
+        orbit_count=len(orbit_list), sizes=sorted(o.size for o in orbit_list)
+    )
+    if args.format == "json":
+        payload["orbits"] = [
+            [p.to_json_dict()["arcs"] for p in o.elements] for o in orbit_list
+        ]
 
     def render() -> str:
         lines = [f"word: {word.to_text()}", f"orbits: {len(orbit_list)}"]
@@ -185,7 +187,7 @@ def _cmd_orbits(args) -> int:
 def _cmd_homomesy(args) -> int:
     word = _load_word(args)
     stat = parse_statistic(args.stat)
-    report = check_homomesy(word, stat, _enum_limit(args), threads=args.threads)
+    report = check_homomesy(word, stat, _enum_limit(args))
     _emit(args, report.to_text_table, report.to_json_dict())
     return OK if report.homomesic else FALSIFIED
 
@@ -373,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word")
     p.add_argument("--word-file")
     p.add_argument("--sizes-only", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_orbits)
 
@@ -382,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word")
     p.add_argument("--word-file")
     p.add_argument("--stat", required=True, help="alpha|beta|card|chi:i,j|psi:k")
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_homomesy)
 

@@ -15,7 +15,6 @@ homomesic, and the smallest counterexample lives in NC(3).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +27,7 @@ from .ncpartition import (
     arc_slots,
     enumerate_masks,
 )
-from .toggles import toggle_mask
+from .toggles import toggle_mask, toggle_pairs
 from .words import ToggleWord, admissible_conjugate, is_partial_coxeter
 
 S = TypeVar("S")
@@ -60,28 +59,27 @@ def orbit_partition(
     return orbits
 
 
-def _permutation_array(
-    states: Sequence[int], step: Callable[[int], int], threads: int
-) -> list[int]:
-    # Applying the word to every state is the embarrassingly parallel part;
-    # cycle chasing afterwards stays single-threaded and deterministic.
-    if threads <= 1 or len(states) < 1024:
-        return [step(s) for s in states]
-    chunk = (len(states) + threads - 1) // threads
-    pieces = [states[k : k + chunk] for k in range(0, len(states), chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        mapped = pool.map(lambda piece: [step(s) for s in piece], pieces)
-        return [v for piece in mapped for v in piece]
+def orbit_masks(word: ToggleWord, limit: int | None = None) -> list[list[int]]:
+    """Orbits of a toggle word on NC(n), as lists of partition bitsets.
 
-
-def orbit_masks(
-    word: ToggleWord, limit: int | None = None, threads: int = 1
-) -> list[list[int]]:
-    """Orbits of a toggle word on NC(n), as lists of partition bitsets."""
-    states = enumerate_masks(word.n, limit)
-    step = word.stepper()
-    images = _permutation_array(states, step, threads)
-    index = {s: i for i, s in enumerate(states)}
+    The word acts on state indices: each toggle is a list of index swaps
+    (:func:`toggle_pairs`), built afresh on every call.  Orbits come out as
+    :func:`orbit_partition` orders them.  ``ToggleWord.stepper`` computes
+    the same map one state at a time and serves as the test oracle.
+    """
+    n = word.n
+    states = enumerate_masks(n, limit)
+    slots = [arc_index(n, arc) for arc in word.arcs]
+    tables = toggle_pairs(n, slots, limit)
+    # Swapping entries i, j of an array holding a map g, for every pair of a
+    # toggle t, leaves it holding g . t.  Going through the word backwards
+    # from the identity therefore ends with image[i] = index of word(state i).
+    image = list(range(len(states)))
+    for k in reversed(slots):
+        pairs = iter(tables[k])
+        for i, j in zip(pairs, pairs):
+            image[i], image[j] = image[j], image[i]
+    del tables  # freed before the orbit lists grow, to lower peak memory
     seen = bytearray(len(states))
     out: list[list[int]] = []
     for i, start in enumerate(states):
@@ -89,12 +87,11 @@ def orbit_masks(
             continue
         orbit = [start]
         seen[i] = 1
-        cur = images[i]
-        while cur != start:
-            orbit.append(cur)
-            j = index[cur]
+        j = image[i]
+        while j != i:
+            orbit.append(states[j])
             seen[j] = 1
-            cur = images[j]
+            j = image[j]
         out.append(orbit)
     return out
 
@@ -114,13 +111,11 @@ class Orbit:
         return len(self.elements)
 
 
-def orbits(
-    word: ToggleWord, limit: int | None = None, threads: int = 1
-) -> list[Orbit]:
+def orbits(word: ToggleWord, limit: int | None = None) -> list[Orbit]:
     """Orbit decomposition of NC(n) under ``word``; sizes sum to catalan(n)."""
     return [
         Orbit(tuple(NCPartition._raw(word.n, m) for m in masks))
-        for masks in orbit_masks(word, limit, threads)
+        for masks in orbit_masks(word, limit)
     ]
 
 
@@ -400,13 +395,10 @@ def check_homomesy(
     word: ToggleWord,
     stat: Statistic,
     limit: int | None = None,
-    threads: int = 1,
     expected_mean: Fraction | None = None,
 ) -> HomomesyReport:
     """Decide whether ``stat`` is homomesic under ``word`` on NC(n)."""
-    return _report(
-        word, stat, stat.label(), orbits(word, limit, threads), expected_mean
-    )
+    return _report(word, stat, stat.label(), orbits(word, limit), expected_mean)
 
 
 def contains_all_short_arcs(word: ToggleWord) -> bool:
@@ -415,7 +407,7 @@ def contains_all_short_arcs(word: ToggleWord) -> bool:
 
 
 def verify_arc_count_theorem(
-    word: ToggleWord, limit: int | None = None, threads: int = 1
+    word: ToggleWord, limit: int | None = None
 ) -> HomomesyReport:
     """Check that arc count is (n-1)/2-mesic and block count (n+1)/2-mesic.
 
@@ -433,7 +425,7 @@ def verify_arc_count_theorem(
         )
         problems.append(f"word is missing short arcs {missing}")
     precondition = "; ".join(problems) or None
-    orbit_list = orbits(word, limit, threads)
+    orbit_list = orbits(word, limit)
     beta_report = _report(
         word,
         Statistic.beta(),
@@ -454,12 +446,12 @@ def verify_arc_count_theorem(
 
 
 def even_orbits_check(
-    word: ToggleWord, limit: int | None = None, threads: int = 1
+    word: ToggleWord, limit: int | None = None
 ) -> tuple[bool, Orbit | None]:
     """For even n: every orbit size should be even; returns a witness if not."""
     if word.n % 2 != 0:
         raise ValueError(f"even-orbit check needs even n, got {word.n}")
-    for orbit in orbits(word, limit, threads):
+    for orbit in orbits(word, limit):
         if orbit.size % 2 != 0:
             return False, orbit
     return True, None

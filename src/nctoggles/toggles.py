@@ -11,9 +11,11 @@ vertices are the arcs and its edges join non-commuting pairs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Iterable
 
 from .ncpartition import (
     Arc,
@@ -97,6 +99,39 @@ def toggle_mask(n: int, mask: int, k: int) -> int:
     if mask & conflict_masks(n)[k]:
         return mask
     return mask | bit
+
+
+def toggle_pairs(
+    n: int, slots: Iterable[int], limit: int | None = None
+) -> dict[int, array]:
+    """The toggles at arc slots ``slots`` as swaps of NC(n) state indices.
+
+    Indices point into ``enumerate_masks(n, limit)``.  For each slot k, a
+    flat ``array('i')`` of index pairs i, j: state i contains the arc and
+    state j is state i without it.  The toggle swaps each pair and fixes
+    every other state, so a word acts on indices by swapping along these
+    lists.  One pass over the states looks only at the requested slots; an
+    arc of length m gives C(n-m) * C(m-1) pairs (see :func:`counts`).
+    """
+    states = enumerate_masks(n, limit)
+    wanted = set(slots)
+    tables = [array("i") if k in wanted else None for k in range(arc_slots(n))]
+    bits = [1 << k for k in range(arc_slots(n))]
+    index = dict(zip(states, range(len(states))))
+    # In lexicographic order a state's parent (the state minus its top arc)
+    # comes earlier, and every state in between extends the parent, so
+    # path[:d] holds the arcs of the current state when it has d arcs.
+    path = [0] * n
+    for i, mask in enumerate(states):
+        d = mask.bit_count()
+        if d:
+            path[d - 1] = mask.bit_length() - 1
+        for k in path[:d]:
+            table = tables[k]
+            if table is not None:
+                table.append(i)
+                table.append(index[mask ^ bits[k]])
+    return {k: table for k, table in enumerate(tables) if table is not None}
 
 
 def pair_order(a: Arc, b: Arc, n: int) -> int:

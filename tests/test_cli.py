@@ -83,6 +83,32 @@ def test_orbits_word_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "4 22 46 60"
 
 
+def test_orbits_sizes_only_json_golden(capsys, tmp_path):
+    word_file = tmp_path / "cox6.txt"
+    word_file.write_text(NC6_COXETER_TEXT + "\n")
+    argv = (
+        "orbits", "6", "--word-file", str(word_file), "--sizes-only",
+        "--format", "json",
+    )
+    code, first, _ = run(capsys, *argv)
+    _, second, _ = run(capsys, *argv)
+    assert code == 0 and first == second
+    envelope = json.loads(first)
+    assert envelope["result"] == {
+        "n": 6, "word": NC6_COXETER_TEXT, "orbit_count": 4, "sizes": [4, 22, 46, 60],
+    }
+    assert "threads" not in envelope["config"]
+
+
+def test_threads_flag_is_a_usage_error(capsys):
+    for argv in (
+        ("orbits", "5", "--word", "4,5 3,4", "--threads", "2"),
+        ("homomesy", "5", "--word", "4,5 3,4", "--stat", "alpha", "--threads", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "--threads" in err
+
+
 def test_orbits_full_listing(capsys):
     code, out, _ = run(capsys, "orbits", "3", "--word", "1,3 2,3 1,2")
     assert code == 0
@@ -185,14 +211,6 @@ def test_kreweras_accepts_block_text_and_circular(capsys):
         capsys, "kreweras", "3", "--partition", "{1,3}{2}", "--circular", "--dot"
     )
     assert code == 0 and "clockwise:" in out and "layout=circo" in out
-
-
-def test_orbits_threads_flag_is_deterministic(capsys):
-    _, single, _ = run(capsys, "orbits", "5", "--word", "4,5 3,4 2,3 1,2")
-    _, multi, _ = run(
-        capsys, "orbits", "5", "--word", "4,5 3,4 2,3 1,2", "--threads", "3"
-    )
-    assert single == multi
 
 
 def test_graph_check_cliquish(capsys, tmp_path):

@@ -69,12 +69,6 @@ def test_nc6_coxeter_orbit_sizes():
     assert sorted(o.size for o in orbits(word)) == [4, 22, 46, 60]
 
 
-def test_threads_do_not_change_orbits():
-    single = orbits(SAMPLE4, threads=1)
-    multi = orbits(SAMPLE4, threads=4)
-    assert [o.elements for o in single] == [o.elements for o in multi]
-
-
 @pytest.mark.parametrize(
     "arcs,expected",
     [([(2, 3)], 2), ([(1, 3)], 1), ([], 0)],
