@@ -18,11 +18,11 @@ from .dynamics import (
     eval_statistic,
     even_orbits_check,
     orbit_average,
-    orbit_partition,
     orbits,
     parse_statistic,
     verify_arc_count_theorem,
 )
+from .core import orbit_partition
 from .indsets import (
     CliquishCertificate,
     Multigraph,
@@ -51,7 +51,6 @@ from .indsets import (
 )
 from .kreweras import (
     eta,
-    kreweras,
     kreweras_oracle,
     kreweras_power,
     kreweras_prime,

@@ -17,55 +17,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Sequence, TypeVar
 
+from .core import cycles, stepper
 from .ncpartition import (
     Arc,
     NCPartition,
     arc_index,
     arc_slots,
+    conflict_masks,
     enumerate_masks,
 )
-from .toggles import toggle_mask, toggle_pairs
+from .toggles import toggle_pairs
 from .words import ToggleWord, admissible_conjugate, is_partial_coxeter
-
-S = TypeVar("S")
-
-
-def orbit_partition(
-    states: Sequence[S], step: Callable[[S], S]
-) -> list[list[S]]:
-    """Split ``states`` into orbits of the bijection ``step``.
-
-    States are scanned in the given order and each undiscovered one seeds a
-    new orbit, so orbits come out ordered by their least element and each
-    orbit's listing starts at that least element.
-    """
-    index = {s: i for i, s in enumerate(states)}
-    seen = bytearray(len(states))
-    orbits: list[list[S]] = []
-    for i, start in enumerate(states):
-        if seen[i]:
-            continue
-        orbit = [start]
-        seen[i] = 1
-        cur = step(start)
-        while cur != start:
-            orbit.append(cur)
-            seen[index[cur]] = 1
-            cur = step(cur)
-        orbits.append(orbit)
-    return orbits
 
 
 def orbit_masks(word: ToggleWord, limit: int | None = None) -> list[list[int]]:
     """Orbits of a toggle word on NC(n), as lists of partition bitsets.
 
     The word acts on state indices: each toggle is a list of index swaps
-    (:func:`toggle_pairs`), built afresh on every call.  Orbits come out as
-    :func:`orbit_partition` orders them.  ``ToggleWord.stepper`` computes
-    the same map one state at a time and serves as the test oracle.
+    (:func:`toggle_pairs`), built afresh on every call.  Orbits come out
+    as :func:`nctoggles.core.cycles` orders them.  ``ToggleWord.stepper``
+    computes the same map one state at a time and serves as the test
+    oracle.
     """
     n = word.n
     states = enumerate_masks(n, limit)
@@ -80,20 +53,7 @@ def orbit_masks(word: ToggleWord, limit: int | None = None) -> list[list[int]]:
         for i, j in zip(pairs, pairs):
             image[i], image[j] = image[j], image[i]
     del tables  # freed before the orbit lists grow, to lower peak memory
-    seen = bytearray(len(states))
-    out: list[list[int]] = []
-    for i, start in enumerate(states):
-        if seen[i]:
-            continue
-        orbit = [start]
-        seen[i] = 1
-        j = image[i]
-        while j != i:
-            orbit.append(states[j])
-            seen[j] = 1
-            j = image[j]
-        out.append(orbit)
-    return out
+    return cycles(states, image)
 
 
 @dataclass(frozen=True)
@@ -122,19 +82,6 @@ def orbits(word: ToggleWord, limit: int | None = None) -> list[Orbit]:
 # --- statistics ------------------------------------------------------------
 
 _Key = tuple
-
-
-@lru_cache(maxsize=None)
-def _psi_masks(n: int, k: int) -> tuple[int, int]:
-    # psi_k counts arcs into k+1 from the left plus arcs out of k to the
-    # right; the short arc (k, k+1) lies in both masks and so counts twice.
-    left = 0
-    for i in range(1, k + 1):
-        left |= 1 << arc_index(n, (i, k + 1))
-    right = 0
-    for j in range(k + 1, n + 1):
-        right |= 1 << arc_index(n, (k, j))
-    return left, right
 
 
 class Statistic:
@@ -197,8 +144,10 @@ class Statistic:
                 k = key[1]
                 if not (1 <= k <= n - 1):
                     raise ValueError(f"psi index {k} out of range for n={n}")
-                left, right = _psi_masks(n, k)
-                value = (mask & left).bit_count() + (mask & right).bit_count()
+                # psi_k is psi_v of the base graph at the short arc (k, k+1).
+                s = arc_index(n, (k, k + 1))
+                nbrs = conflict_masks(n)[s]
+                value = 2 * (mask >> s & 1) + (mask & nbrs).bit_count()
             else:  # pragma: no cover - construction prevents this
                 raise ValueError(f"unknown statistic key {key}")
             total += coeff * value
@@ -282,7 +231,8 @@ def orbit_average(stat: Statistic, orbit: Orbit) -> Fraction:
 
 @dataclass(frozen=True)
 class HomomesyReport:
-    """Per-orbit averages of one statistic under one word, with a verdict.
+    """Per-orbit averages of one statistic under one word, and the verdict
+    read off them.
 
     ``homomesic`` is True when all orbit averages agree; ``mean`` then holds
     the common value.  Otherwise ``counterexample`` names the first two
@@ -297,12 +247,26 @@ class HomomesyReport:
     space: str
     orbit_sizes: tuple[int, ...]
     averages: tuple[Fraction, ...]
-    homomesic: bool
-    mean: Fraction | None
-    counterexample: tuple[int, int] | None
     expected_mean: Fraction | None = None
     precondition: str | None = None
     sub_reports: tuple["HomomesyReport", ...] = ()
+
+    @property
+    def homomesic(self) -> bool:
+        # count() compares by equality; hashing every Fraction costs more.
+        averages = self.averages
+        return not averages or averages.count(averages[0]) == len(averages)
+
+    @property
+    def mean(self) -> Fraction | None:
+        return self.averages[0] if self.homomesic and self.averages else None
+
+    @property
+    def counterexample(self) -> tuple[int, int] | None:
+        if self.homomesic:
+            return None
+        first = self.averages[0]
+        return 0, next(i for i, a in enumerate(self.averages) if a != first)
 
     @property
     def holds(self) -> bool:
@@ -368,23 +332,12 @@ def _report(
     precondition: str | None = None,
     sub_reports: tuple[HomomesyReport, ...] = (),
 ) -> HomomesyReport:
-    averages = tuple(orbit_average(stat, o) for o in orbit_list)
-    sizes = tuple(o.size for o in orbit_list)
-    homomesic = len(set(averages)) <= 1
-    counterexample = None
-    if not homomesic:
-        first = averages[0]
-        other = next(i for i, a in enumerate(averages) if a != first)
-        counterexample = (0, other)
     return HomomesyReport(
         word=word.to_text(),
         statistic=stat_label,
         space=f"NC({word.n})",
-        orbit_sizes=sizes,
-        averages=averages,
-        homomesic=homomesic,
-        mean=averages[0] if homomesic and averages else None,
-        counterexample=counterexample,
+        orbit_sizes=tuple(o.size for o in orbit_list),
+        averages=tuple(orbit_average(stat, o) for o in orbit_list),
         expected_mean=expected_mean,
         precondition=precondition,
         sub_reports=sub_reports,
@@ -493,8 +446,9 @@ def chi_sum_conjugation_check(
     conj_by_members = {frozenset(o): idx for idx, o in enumerate(conj)}
     orig_sums = chi_sums_by_orbit(orig, n)
     conj_sums = chi_sums_by_orbit(conj, n)
+    flip = stepper(conflict_masks(n), [k])
     for idx, orbit in enumerate(orig):
-        image = frozenset(toggle_mask(n, m, k) for m in orbit)
+        image = frozenset(map(flip, orbit))
         target = conj_by_members.get(image)
         if target is None:
             return False

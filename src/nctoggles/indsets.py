@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .dynamics import HomomesyReport, orbit_partition
+from .core import independent_sets, orbit_partition, stepper
+from .dynamics import HomomesyReport
 from .toggles import base_graph
 
 
@@ -194,20 +195,7 @@ def independent_set_masks(graph: SimpleGraph, limit: int = DEFAULT_VERTEX_LIMIT)
         raise GraphSizeError(
             f"{graph.n_vertices} vertices exceeds the ceiling of {limit}"
         )
-    adj = graph.adj
-    out: list[int] = []
-    full = (1 << graph.n_vertices) - 1
-
-    def rec(mask: int, avail: int) -> None:
-        out.append(mask)
-        rest = avail
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            rec(mask | low, rest & ~adj[low.bit_length() - 1])
-
-    rec(0, full)
-    return tuple(out)
+    return independent_sets(graph.adj)
 
 
 def enumerate_independent_sets(
@@ -264,17 +252,7 @@ def vertex_word_text(word) -> str:
 
 
 def _vertex_word_stepper(graph: SimpleGraph, word):
-    ops = tuple((1 << graph.index_of(v), graph.adj[graph.index_of(v)]) for v in word)
-
-    def step(mask: int) -> int:
-        for bit, nbrs in ops:
-            if mask & bit:
-                mask ^= bit
-            elif not mask & nbrs:
-                mask |= bit
-        return mask
-
-    return step
+    return stepper(graph.adj, [graph.index_of(v) for v in word])
 
 
 def apply_vertex_word(graph: SimpleGraph, word, current: frozenset) -> frozenset:
@@ -403,24 +381,15 @@ def verify_cardinality_homomesy(
     word_label = vertex_word_text(word)
 
     def build(stat_label, value_of, expected):
-        averages = tuple(
-            Fraction(sum(value_of(m) for m in orbit), len(orbit)) for orbit in orbits
-        )
-        homomesic = len(set(averages)) <= 1
-        counterexample = None
-        if not homomesic:
-            first = averages[0]
-            other = next(i for i, a in enumerate(averages) if a != first)
-            counterexample = (0, other)
         return HomomesyReport(
             word=word_label,
             statistic=stat_label,
             space=space,
             orbit_sizes=sizes,
-            averages=averages,
-            homomesic=homomesic,
-            mean=averages[0] if homomesic and averages else None,
-            counterexample=counterexample,
+            averages=tuple(
+                Fraction(sum(value_of(m) for m in orbit), len(orbit))
+                for orbit in orbits
+            ),
             expected_mean=expected,
             precondition=precondition,
         )

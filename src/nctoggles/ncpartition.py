@@ -23,6 +23,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
+from .core import independent_sets
+
 Arc = tuple[int, int]
 
 #: Largest n accepted for single-partition operations.
@@ -445,22 +447,7 @@ def is_refinement(finer: BlockPartition, coarser: BlockPartition) -> bool:
 
 @lru_cache(maxsize=8)
 def _enum_masks_cached(n: int) -> tuple[int, ...]:
-    conflicts = conflict_masks(n)
-    out: list[int] = []
-    full = (1 << arc_slots(n)) - 1
-
-    # Depth-first over increasing arc indices; emitting the current mask
-    # before descending yields lexicographic order on sorted arc lists.
-    def rec(mask: int, avail: int) -> None:
-        out.append(mask)
-        rest = avail
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            rec(mask | low, rest & ~conflicts[low.bit_length() - 1])
-
-    rec(0, full)
-    return tuple(out)
+    return independent_sets(conflict_masks(n))
 
 
 def enumerate_masks(n: int, limit: int | None = None) -> tuple[int, ...]:

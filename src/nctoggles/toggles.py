@@ -11,12 +11,14 @@ vertices are the arcs and its edges join non-commuting pairs.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable
 
+from .core import orbit_partition, stepper
 from .ncpartition import (
     Arc,
     NCPartition,
@@ -91,16 +93,6 @@ def toggle(partition: NCPartition, arc: Arc) -> NCPartition:
     return NCPartition._raw(n, mask | bit)
 
 
-def toggle_mask(n: int, mask: int, k: int) -> int:
-    """Mask-level toggle at arc slot k; used by the orbit machinery."""
-    bit = 1 << k
-    if mask & bit:
-        return mask ^ bit
-    if mask & conflict_masks(n)[k]:
-        return mask
-    return mask | bit
-
-
 def toggle_pairs(
     n: int, slots: Iterable[int], limit: int | None = None
 ) -> dict[int, array]:
@@ -151,30 +143,13 @@ def pair_order(a: Arc, b: Arc, n: int) -> int:
 
 def permutation_order(n: int, step, limit: int | None = None) -> int:
     """Order of a bijection of NC(n) given as a mask-to-mask callable."""
-    import math
-
-    order = 1
-    seen: set[int] = set()
-    for start in enumerate_masks(n, limit):
-        if start in seen:
-            continue
-        cur = step(start)
-        length = 1
-        seen.add(start)
-        while cur != start:
-            seen.add(cur)
-            cur = step(cur)
-            length += 1
-        order = order * length // math.gcd(order, length)
-    return order
+    return math.lcm(*map(len, orbit_partition(enumerate_masks(n, limit), step)))
 
 
 def pair_order_observed(a: Arc, b: Arc, n: int, limit: int | None = None) -> int:
     """Oracle for :func:`pair_order` via cycle decomposition."""
-    ka, kb = arc_index(n, a), arc_index(n, b)
-    return permutation_order(
-        n, lambda m: toggle_mask(n, toggle_mask(n, m, kb), ka), limit
-    )
+    step = stepper(conflict_masks(n), [arc_index(n, b), arc_index(n, a)])
+    return permutation_order(n, step, limit)
 
 
 def noncommuting_count(n: int, arc: Arc) -> int:

@@ -165,11 +165,13 @@ def check_psi_balance(
             word = sample_qualifying_word(rng, n)
             orbit_list = dynamics.orbit_masks(word)
             for k in range(1, n):
-                left, right = dynamics._psi_masks(n, k)
+                # psi_k is psi_v of the base graph at the short arc (k, k+1).
+                s = ncpartition.arc_index(n, (k, k + 1))
+                nbrs = ncpartition.conflict_masks(n)[s]
                 for orbit in orbit_list:
                     total = zeros = twos = 0
                     for mask in orbit:
-                        value = (mask & left).bit_count() + (mask & right).bit_count()
+                        value = 2 * (mask >> s & 1) + (mask & nbrs).bit_count()
                         total += value
                         zeros += value == 0
                         twos += value == 2

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import core
 from .ncpartition import (
     Arc,
     NCPartition,
@@ -120,22 +121,10 @@ class ToggleWord:
         return apply_word(self, partition)
 
     def stepper(self):
-        """A mask -> mask callable applying this word; the orbit workhorse."""
-        n = self.n
-        table = conflict_masks(n)
-        ops = tuple(
-            (1 << arc_index(n, a), table[arc_index(n, a)]) for a in self.arcs
+        """A mask -> mask callable applying this word, one state at a time."""
+        return core.stepper(
+            conflict_masks(self.n), [arc_index(self.n, a) for a in self.arcs]
         )
-
-        def step(mask: int) -> int:
-            for bit, conflict in ops:
-                if mask & bit:
-                    mask ^= bit
-                elif not mask & conflict:
-                    mask |= bit
-            return mask
-
-        return step
 
     def inverse(self) -> "ToggleWord":
         """The inverse word: same toggles in reverse application order."""

@@ -1,8 +1,9 @@
 """Naive reference implementations used as independent oracles in tests.
 
-Everything here works on frozensets of (i, j) tuples with straight-from-
-the-definition checks: no bitmasks, no shared code with the package.  Kept
-deliberately slow and obvious; usable up to about n = 6.
+Everything here works on frozensets (of (i, j) arcs, or of graph vertex
+labels) with straight-from-the-definition checks: no bitmasks, no shared
+code with the package.  Kept deliberately slow and obvious; usable up to
+about n = 6, or graphs of about 8 vertices.
 """
 
 from functools import lru_cache
@@ -66,6 +67,57 @@ def orbits(n, word_composition_order):
             seen.add(cur)
             cur = apply_composition(cur, word_composition_order)
         out.add(frozenset(orbit))
+    return out
+
+
+def graph_independent_sets(vertices, edges):
+    """Independent sets of a graph (subset filter), as frozensets of labels,
+    in lexicographic order on their position lists in ``vertices``."""
+    edge_set = {frozenset(e) for e in edges}
+    found = [
+        combo
+        for r in range(len(vertices) + 1)
+        for combo in combinations(range(len(vertices)), r)
+        if all(
+            frozenset((vertices[a], vertices[b])) not in edge_set
+            for a, b in combinations(combo, 2)
+        )
+    ]
+    return [frozenset(vertices[i] for i in combo) for combo in sorted(found)]
+
+
+def toggle_vertex(edges, current, v):
+    if v in current:
+        return current - {v}
+    edge_set = {frozenset(e) for e in edges}
+    if any(frozenset((v, w)) in edge_set for w in current):
+        return current
+    return current | {v}
+
+
+def graph_orbits(vertices, edges, word):
+    """Orbits of a vertex word (application order) on the independent sets:
+    each state not yet seen, in :func:`graph_independent_sets` order, starts
+    an orbit listed in the direction of the word."""
+
+    def step(state):
+        for v in word:
+            state = toggle_vertex(edges, state, v)
+        return state
+
+    seen = set()
+    out = []
+    for start in graph_independent_sets(vertices, edges):
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        cur = step(start)
+        while cur != start:
+            orbit.append(cur)
+            seen.add(cur)
+            cur = step(cur)
+        out.append(orbit)
     return out
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import brute
+from nctoggles.core import orbit_partition
 from nctoggles.dynamics import (
     Statistic,
     check_homomesy,
@@ -11,7 +12,6 @@ from nctoggles.dynamics import (
     eval_statistic,
     even_orbits_check,
     orbit_average,
-    orbit_partition,
     orbits,
     parse_statistic,
     verify_arc_count_theorem,

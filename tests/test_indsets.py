@@ -139,7 +139,7 @@ def test_psi_v_examples():
 
 
 def test_psi_v_matches_partition_psi_on_gamma():
-    for n in range(2, 6):
+    for n in range(2, 8):
         graph = gamma_graph(n)
         for p in enumerate_nc(n):
             state = frozenset(p.arcs())

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from types import ModuleType
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nctoggles.dynamics import orbit_partition
+from nctoggles.core import orbit_partition
 from nctoggles.kreweras import (
     circular_text,
     eta,
@@ -147,3 +148,11 @@ def test_circular_text():
     text = circular_text(NCPartition(3, [(1, 3)]))
     assert text == "clockwise: 1[B0] 2[B1] 3[B0]"
     assert circular_text(NCPartition(0)) == "clockwise: (empty)"
+
+
+def test_package_attribute_is_the_module():
+    import nctoggles.kreweras as K
+
+    assert isinstance(K, ModuleType)
+    assert callable(K.kreweras)
+    assert K.kreweras(PI8) == kreweras(PI8)
