@@ -15,8 +15,10 @@ homomesic, and the smallest counterexample lives in NC(3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .core import cycles, stepper
 from .ncpartition import (
@@ -153,6 +155,41 @@ class Statistic:
             total += coeff * value
         return total
 
+    def compile(self, n: int) -> tuple[int, Callable[[int], int]]:
+        """``(den, value)`` with ``Fraction(value(mask), den)`` equal to
+        :meth:`evaluate` on NC(n).  Each basis element is an int popcount
+        ``(mask & M).bit_count()`` (M all arcs, one arc, or for psi_k the short
+        arc twice and its base-graph neighbours); a bad index raises as there.
+        """
+        den = lcm(*(coeff.denominator for _, coeff in self.terms))
+        full, const, parts = (1 << arc_slots(n)) - 1, 0, []
+        for key, coeff in self.terms:
+            tag, c = key[0], int(coeff * den)
+            if tag == "beta":
+                const, c = const + n * c, -c
+            if tag in ("alpha", "card", "beta"):
+                parts.append((full, c))
+            elif tag == "chi":
+                _, i, j = key
+                if not (1 <= i < j <= n):
+                    raise ValueError(f"chi index ({i},{j}) out of range for n={n}")
+                parts.append((1 << arc_index(n, (i, j)), c))
+            elif tag == "psi":
+                k = key[1]
+                if not (1 <= k <= n - 1):
+                    raise ValueError(f"psi index {k} out of range for n={n}")
+                s = arc_index(n, (k, k + 1))
+                parts += [(1 << s, 2 * c), (conflict_masks(n)[s], c)]
+            else:
+                raise ValueError(f"unknown statistic key {key}")
+        if not const and parts == [(full, 1)]:
+            return den, int.bit_count
+        if len(parts) > 2:
+            return den, lambda x: const + sum(w * (x & m).bit_count() for m, w in parts)
+        # Spelled out, the one or two popcounts of a basis element skip a generator.
+        (m, w), (m2, w2) = parts + [(0, 0)] * (2 - len(parts))
+        return den, lambda x: const + w * (x & m).bit_count() + w2 * (x & m2).bit_count()
+
     def __call__(self, partition: NCPartition) -> Fraction:
         return self.evaluate(partition)
 
@@ -220,7 +257,8 @@ def eval_statistic(stat: Statistic, partition: NCPartition) -> Fraction:
 
 
 def orbit_average(stat: Statistic, orbit: Orbit) -> Fraction:
-    """Exact mean of a statistic over one orbit."""
+    """Exact mean of a statistic over one orbit, one state at a time: the
+    oracle for the reports, which sum :meth:`Statistic.compile` over bitsets."""
     return sum((stat.evaluate(p) for p in orbit.elements), Fraction(0)) / len(
         orbit.elements
     )
@@ -323,25 +361,25 @@ class HomomesyReport:
         return f"{header}\n{body}\nverdict: {self.verdict}"
 
 
-def _report(
-    word: ToggleWord,
-    stat: Statistic,
-    stat_label: str,
-    orbit_list: list[Orbit],
-    expected_mean: Fraction | None = None,
+def homomesy_report(
+    word: str, space: str, orbit_list: list[list[int]],
+    stats: list[tuple[str, tuple[int, Callable[[int], int]], Fraction | None]],
     precondition: str | None = None,
-    sub_reports: tuple[HomomesyReport, ...] = (),
 ) -> HomomesyReport:
-    return HomomesyReport(
-        word=word.to_text(),
-        statistic=stat_label,
-        space=f"NC({word.n})",
-        orbit_sizes=tuple(o.size for o in orbit_list),
-        averages=tuple(orbit_average(stat, o) for o in orbit_list),
-        expected_mean=expected_mean,
-        precondition=precondition,
-        sub_reports=sub_reports,
-    )
+    """The first statistic's report over orbits of bitsets (of NC(n) or of a
+    graph), with the others' as its sub-reports.  A statistic is ``(label,
+    (den, value), expected_mean)`` and is ``value(m) / den`` at state m (see
+    :meth:`Statistic.compile`): an orbit average is one ``Fraction`` of ints.
+    """
+    reports = [
+        HomomesyReport(
+            word, label, space, tuple(map(len, orbit_list)),
+            tuple(Fraction(sum(map(value, o)), den * len(o)) for o in orbit_list),
+            expected_mean, precondition,
+        )
+        for label, (den, value), expected_mean in stats
+    ]
+    return replace(reports[0], sub_reports=tuple(reports[1:]))
 
 
 def check_homomesy(
@@ -351,7 +389,11 @@ def check_homomesy(
     expected_mean: Fraction | None = None,
 ) -> HomomesyReport:
     """Decide whether ``stat`` is homomesic under ``word`` on NC(n)."""
-    return _report(word, stat, stat.label(), orbits(word, limit), expected_mean)
+    # orbit_masks runs before compile, so a ceiling error wins over a bad index.
+    return homomesy_report(
+        word.to_text(), f"NC({word.n})", orbit_masks(word, limit),
+        [(stat.label(), stat.compile(word.n), expected_mean)],
+    )
 
 
 def contains_all_short_arcs(word: ToggleWord) -> bool:
@@ -378,23 +420,11 @@ def verify_arc_count_theorem(
         )
         problems.append(f"word is missing short arcs {missing}")
     precondition = "; ".join(problems) or None
-    orbit_list = orbits(word, limit)
-    beta_report = _report(
-        word,
-        Statistic.beta(),
-        "beta",
-        orbit_list,
-        expected_mean=Fraction(n + 1, 2),
-        precondition=precondition,
-    )
-    return _report(
-        word,
-        Statistic.alpha(),
-        "alpha",
-        orbit_list,
-        expected_mean=Fraction(n - 1, 2),
-        precondition=precondition,
-        sub_reports=(beta_report,),
+    alpha, beta = Statistic.alpha().compile(n), Statistic.beta().compile(n)
+    return homomesy_report(
+        word.to_text(), f"NC({n})", orbit_masks(word, limit),
+        [("alpha", alpha, Fraction(n - 1, 2)), ("beta", beta, Fraction(n + 1, 2))],
+        precondition,
     )
 
 
@@ -404,9 +434,9 @@ def even_orbits_check(
     """For even n: every orbit size should be even; returns a witness if not."""
     if word.n % 2 != 0:
         raise ValueError(f"even-orbit check needs even n, got {word.n}")
-    for orbit in orbits(word, limit):
-        if orbit.size % 2 != 0:
-            return False, orbit
+    for masks in orbit_masks(word, limit):
+        if len(masks) % 2 != 0:
+            return False, Orbit(tuple(NCPartition._raw(word.n, m) for m in masks))
     return True, None
 
 

@@ -19,12 +19,12 @@ its two U-neighbors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .core import independent_sets, orbit_partition, stepper
-from .dynamics import HomomesyReport
+from .dynamics import HomomesyReport, homomesy_report
 from .toggles import base_graph
 
 
@@ -227,10 +227,6 @@ def psi_v(graph: SimpleGraph, current: frozenset, v) -> int:
     return 2 * (mask >> k & 1) + (mask & graph.adj[k]).bit_count()
 
 
-def cardinality(current: frozenset) -> int:
-    return len(current)
-
-
 def parse_vertex_word(graph: SimpleGraph, text: str) -> tuple:
     """Parse a vertex word written in composition order (rightmost acts first).
 
@@ -374,39 +370,14 @@ def verify_cardinality_homomesy(
     precondition = "; ".join(problems) or None
 
     states = independent_set_masks(graph, limit)
-    step = _vertex_word_stepper(graph, word)
-    orbits = orbit_partition(states, step)
-    sizes = tuple(len(o) for o in orbits)
-    space = f"ind(G) on {graph.n_vertices} vertices"
-    word_label = vertex_word_text(word)
-
-    def build(stat_label, value_of, expected):
-        return HomomesyReport(
-            word=word_label,
-            statistic=stat_label,
-            space=space,
-            orbit_sizes=sizes,
-            averages=tuple(
-                Fraction(sum(value_of(m) for m in orbit), len(orbit))
-                for orbit in orbits
-            ),
-            expected_mean=expected,
-            precondition=precondition,
-        )
-
-    subs = []
+    orbits = orbit_partition(states, _vertex_word_stepper(graph, word))
+    stats = [("card", (1, int.bit_count), Fraction(cert.A, 2))]
     for u in sorted(cert.u_set, key=str):
         k = graph.index_of(u)
-        nbrs = graph.adj[k]
-        subs.append(
-            build(
-                f"psi:{u}",
-                lambda m, k=k, nbrs=nbrs: 2 * (m >> k & 1) + (m & nbrs).bit_count(),
-                Fraction(1),
-            )
-        )
-    card = build("card", lambda m: m.bit_count(), Fraction(cert.A, 2))
-    return replace(card, sub_reports=tuple(subs))
+        psi = lambda m, k=k, nbrs=graph.adj[k]: 2 * (m >> k & 1) + (m & nbrs).bit_count()
+        stats.append((f"psi:{u}", (1, psi), Fraction(1)))
+    space = f"ind(G) on {graph.n_vertices} vertices"
+    return homomesy_report(vertex_word_text(word), space, orbits, stats, precondition)
 
 
 # --- constructions -----------------------------------------------------------

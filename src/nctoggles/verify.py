@@ -93,15 +93,14 @@ def check_catalan_counts(n_max: int = 12) -> CheckResult:
 def check_nc4_sample_word() -> CheckResult:
     start = time.perf_counter()
     word = ToggleWord.from_text(4, NC4_SAMPLE_TEXT)
-    orbit_list = dynamics.orbits(word)
-    sizes = sorted(o.size for o in orbit_list)
-    if len(orbit_list) != 5 or sum(sizes) != 14:
+    report = dynamics.check_homomesy(word, Statistic.alpha())
+    sizes = sorted(report.orbit_sizes)
+    if len(sizes) != 5 or sum(sizes) != 14:
         return _result(
             "nc4_sample_word", start, False,
             f"expected 5 orbits totalling 14, got sizes {sizes}",
         )
-    alpha = Statistic.alpha()
-    averages = [dynamics.orbit_average(alpha, o) for o in orbit_list]
+    averages = list(report.averages)
     if any(avg != Fraction(3, 2) for avg in averages):
         return _result(
             "nc4_sample_word", start, False, f"alpha averages {averages} != 3/2"

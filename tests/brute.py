@@ -95,6 +95,12 @@ def toggle_vertex(edges, current, v):
     return current | {v}
 
 
+def psi_v(edges, current, v):
+    """Twice the indicator of v plus the number of its neighbours in the set."""
+    edge_set = {frozenset(e) for e in edges}
+    return 2 * (v in current) + sum(frozenset((v, w)) in edge_set for w in current)
+
+
 def graph_orbits(vertices, edges, word):
     """Orbits of a vertex word (application order) on the independent sets:
     each state not yet seen, in :func:`graph_independent_sets` order, starts

@@ -1,6 +1,8 @@
 import json
 
-from nctoggles import cli
+import pytest
+
+from nctoggles import __version__, cli
 from nctoggles.indsets import Multigraph, multigraph_to_skeletal
 from nctoggles.verify import NC6_COXETER_TEXT
 
@@ -147,6 +149,125 @@ def test_homomesy_json_deterministic(capsys):
     assert payload["config"]["stat"] == "alpha"
     assert payload["result"]["verdict"] == "3/2-mesic"
     assert {"size": 6, "average": "3/2"} in payload["result"]["orbits"]
+
+
+# Output of ``homomesy 6 --word <NC6_COXETER_TEXT>``, byte for byte, with the
+# package version substituted for ``{version}``.
+HOMOMESY6_GOLDEN = {
+    ('alpha', 'text'): (
+        0,
+        'word: 4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,6 2,6 3,5 2,3 1,4 5,6 4,5\n'
+        'statistic: alpha on NC(6)\norbit  size  average\n'
+        '    0    60      5/2\n    1    46      5/2\n    2    22      5/2\n'
+        '    3     4      5/2\nverdict: 5/2-mesic\n'
+    ),
+    ('alpha', 'json'): (
+        0,
+        '{"config":{"command":"homomesy","format":"json","max_n":null,"n":6,'
+        '"seed":null,"stat":"alpha","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,'
+        '6 2,6 3,5 2,3 1,4 5,6 4,5","word_file":null},'
+        '"result":{"homomesic":true,"mean":"5/2","orbits":[{"average":"5/2",'
+        '"size":60},{"average":"5/2","size":46},{"average":"5/2","size":22},'
+        '{"average":"5/2","size":4}],"space":"NC(6)","statistic":"alpha",'
+        '"verdict":"5/2-mesic","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,6 2,'
+        '6 3,5 2,3 1,4 5,6 4,5"},"seed":null,"version":"{version}"}\n'
+    ),
+    ('beta', 'text'): (
+        0,
+        'word: 4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,6 2,6 3,5 2,3 1,4 5,6 4,5\n'
+        'statistic: beta on NC(6)\norbit  size  average\n    0    60      7/2\n'
+        '    1    46      7/2\n    2    22      7/2\n    3     4      7/2\n'
+        'verdict: 7/2-mesic\n'
+    ),
+    ('beta', 'json'): (
+        0,
+        '{"config":{"command":"homomesy","format":"json","max_n":null,"n":6,'
+        '"seed":null,"stat":"beta","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,'
+        '6 2,6 3,5 2,3 1,4 5,6 4,5","word_file":null},'
+        '"result":{"homomesic":true,"mean":"7/2","orbits":[{"average":"7/2",'
+        '"size":60},{"average":"7/2","size":46},{"average":"7/2","size":22},'
+        '{"average":"7/2","size":4}],"space":"NC(6)","statistic":"beta",'
+        '"verdict":"7/2-mesic","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,6 2,'
+        '6 3,5 2,3 1,4 5,6 4,5"},"seed":null,"version":"{version}"}\n'
+    ),
+    ('psi:3', 'text'): (
+        0,
+        'word: 4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,6 2,6 3,5 2,3 1,4 5,6 4,5\n'
+        'statistic: psi:3 on NC(6)\norbit  size  average\n'
+        '    0    60        1\n    1    46        1\n    2    22        1\n'
+        '    3     4        1\nverdict: 1-mesic\n'
+    ),
+    ('psi:3', 'json'): (
+        0,
+        '{"config":{"command":"homomesy","format":"json","max_n":null,"n":6,'
+        '"seed":null,"stat":"psi:3","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,'
+        '6 2,6 3,5 2,3 1,4 5,6 4,5","word_file":null},'
+        '"result":{"homomesic":true,"mean":"1","orbits":[{"average":"1",'
+        '"size":60},{"average":"1","size":46},{"average":"1","size":22},'
+        '{"average":"1","size":4}],"space":"NC(6)","statistic":"psi:3",'
+        '"verdict":"1-mesic","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,6 2,6 3,'
+        '5 2,3 1,4 5,6 4,5"},"seed":null,"version":"{version}"}\n'
+    ),
+    ('chi:1,3', 'text'): (
+        1,
+        'word: 4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,6 2,6 3,5 2,3 1,4 5,6 4,5\n'
+        'statistic: chi:1,3 on NC(6)\norbit  size  average\n'
+        '    0    60     1/12\n    1    46     5/46\n    2    22     3/22\n'
+        '    3     4      1/4\nverdict: not homomesic: orbit 0 averages 1/12,'
+        ' orbit 1 averages 5/46\n'
+    ),
+    ('chi:1,3', 'json'): (
+        1,
+        '{"config":{"command":"homomesy","format":"json","max_n":null,"n":6,'
+        '"seed":null,"stat":"chi:1,3","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,'
+        '2 1,6 2,6 3,5 2,3 1,4 5,6 4,5","word_file":null},'
+        '"result":{"homomesic":false,"mean":null,"orbits":[{"average":"1/12",'
+        '"size":60},{"average":"5/46","size":46},{"average":"3/22","size":22},'
+        '{"average":"1/4","size":4}],"space":"NC(6)","statistic":"chi:1,3",'
+        '"verdict":"not homomesic: orbit 0 averages 1/12,'
+        ' orbit 1 averages 5/46","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,6 2,'
+        '6 3,5 2,3 1,4 5,6 4,5"},"seed":null,"version":"{version}"}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("stat, fmt", list(HOMOMESY6_GOLDEN))
+def test_homomesy_nc6_golden(capsys, stat, fmt):
+    want_code, want_out = HOMOMESY6_GOLDEN[stat, fmt]
+    code, out, err = run(
+        capsys, "homomesy", "6", "--word", NC6_COXETER_TEXT, "--stat", stat,
+        "--format", fmt,
+    )
+    assert (code, out, err) == (
+        want_code, want_out.replace("{version}", __version__), ""
+    )
+
+
+@pytest.mark.parametrize(
+    "stat, message",
+    [
+        ("chi:1,9", "chi index (1,9) out of range for n=4"),
+        ("psi:4", "psi index 4 out of range for n=4"),
+    ],
+)
+def test_homomesy_index_out_of_range(capsys, stat, message):
+    code, out, err = run(
+        capsys, "homomesy", "4", "--word", "3,4 1,2 2,3 1,4", "--stat", stat
+    )
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("stat", ["chi:1,9", "psi:6"])
+def test_homomesy_ceiling_wins_over_bad_index(capsys, stat):
+    code, out, err = run(
+        capsys, "homomesy", "6", "--word", NC6_COXETER_TEXT, "--stat", stat,
+        "--max-n", "5",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: n=6 exceeds the enumeration ceiling of 5; "
+        "raise the limit explicitly to proceed\n"
+    )
 
 
 def test_word_parse_error_cites_token(capsys):

@@ -1,0 +1,156 @@
+"""Orbit averages as integer sums over bitsets against the per-state oracle.
+
+On NC(n) the reports sum ``Statistic.compile`` over ``orbit_masks``; the
+oracle is ``orbit_average``, which sums ``Statistic.evaluate`` as Fractions
+over ``Orbit`` objects.  On graphs the reports must equal a Fraction average
+of ``tests/brute.py`` psi_v and cardinality over brute-force orbits.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import example, given, settings, strategies as st
+
+import brute
+from nctoggles.dynamics import Statistic, check_homomesy, orbit_average, orbits
+from nctoggles.indsets import (
+    CliquishCertificate,
+    SimpleGraph,
+    verify_cardinality_homomesy,
+)
+from nctoggles.ncpartition import NCPartition, enumerate_masks
+from nctoggles.words import ToggleWord
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def basis_keys(n):
+    return (
+        [("alpha",), ("beta",), ("card",)]
+        + [("chi", i, j) for i, j in brute.all_arcs(n)]
+        + [("psi", k) for k in range(1, n)]
+    )
+
+
+@st.composite
+def statistics(draw, n):
+    """Sums of up to five scaled basis elements (repeats allowed); some are
+    cancelled to the zero statistic by subtracting a copy."""
+    stat = Statistic({})
+    for key in draw(st.lists(st.sampled_from(basis_keys(n)), max_size=5)):
+        stat = stat + draw(COEFFS) * Statistic({key: 1})
+    if draw(st.integers(0, 4)) == 0:
+        stat = stat + (-1) * stat
+        assert stat == Statistic({})
+    return stat
+
+
+@st.composite
+def words_with_statistics(draw, max_n=7, max_len=12):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    arcs = brute.all_arcs(n)
+    word = draw(st.lists(st.sampled_from(arcs), max_size=max_len)) if arcs else []
+    return ToggleWord(n, word), draw(statistics(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words_with_statistics())
+@example((ToggleWord(0), Statistic.beta()))
+@example((ToggleWord(1), Statistic.beta() - Statistic.alpha()))
+@example((ToggleWord(6, [(1, 2), (3, 4)]), Fraction(-1, 2) * Statistic.beta()))
+@example((ToggleWord(7, [(1, 7), (2, 3), (1, 7)]), Statistic.psi(2) - Statistic.beta()))
+@example((ToggleWord(5), Statistic.alpha() - Statistic.card()))
+def test_report_averages_match_per_state_oracle(case):
+    word, stat = case
+    orbit_list = orbits(word)
+    report = check_homomesy(word, stat)
+    assert report.orbit_sizes == tuple(o.size for o in orbit_list)
+    assert report.averages == tuple(orbit_average(stat, o) for o in orbit_list)
+    assert all(type(avg) is Fraction for avg in report.averages)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words_with_statistics())
+def test_compiled_value_is_an_int_matching_evaluate(case):
+    word, stat = case
+    den, value = stat.compile(word.n)
+    assert type(den) is int and den >= 1
+    for mask in enumerate_masks(word.n):
+        got = value(mask)
+        assert type(got) is int
+        assert Fraction(got, den) == stat.evaluate(NCPartition._raw(word.n, mask))
+
+
+def outcome(fn):
+    """None if ``fn()`` returns, else the message of the ValueError it raises."""
+    try:
+        fn()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def statistics_with_any_index(draw, max_n=7):
+    """A chi or psi whose indices may fall outside [n], plus a valid sum."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    index = st.integers(min_value=-1, max_value=n + 2)
+    first = draw(
+        st.one_of(
+            st.builds(Statistic.chi, index, index), st.builds(Statistic.psi, index)
+        )
+    )
+    return n, first + draw(statistics(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(statistics_with_any_index())
+@example((4, Statistic.chi(1, 9)))
+@example((4, Statistic.psi(4)))
+@example((4, Statistic.chi(3, 2) + Statistic.psi(0)))
+@example((3, Statistic({("gamma",): 1})))
+def test_out_of_range_index_raises_as_evaluate(case):
+    n, stat = case
+    want = outcome(lambda: stat.evaluate(NCPartition._raw(n, 0)))
+    assert outcome(lambda: stat.compile(n)) == want
+    assert outcome(lambda: check_homomesy(ToggleWord(n), stat)) == want
+
+
+@st.composite
+def graphs_with_words_and_u(draw, max_vertices=7, max_len=10):
+    """A graph on at most ``max_vertices`` shuffled labels, a word that may
+    repeat or miss vertices, and any vertex subset U (not necessarily one
+    that makes the graph 2-cliquish: the averages are defined regardless)."""
+    m = draw(st.integers(min_value=0, max_value=max_vertices))
+    vertices = draw(st.permutations(range(m)))
+    edges = [p for p in combinations(vertices, 2) if draw(st.booleans())]
+    if not m:
+        return vertices, edges, [], frozenset()
+    word = draw(st.lists(st.sampled_from(vertices), max_size=max_len))
+    return vertices, edges, word, frozenset(draw(st.sets(st.sampled_from(vertices))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_words_and_u())
+@example(([], [], [], frozenset()))
+@example(([0], [], [0, 0], frozenset({0})))
+@example(([2, 0, 1], [(2, 0), (0, 1)], [1, 0, 1, 2], frozenset({2, 1})))
+@example((list(range(5)), list(combinations(range(5), 2)), [4, 3], frozenset(range(5))))
+def test_graph_reports_match_bruteforce_averages(case):
+    vertices, edges, word, u_set = case
+    graph = SimpleGraph(vertices, edges)
+    report = verify_cardinality_homomesy(
+        graph, CliquishCertificate(u_set, {}, {}), word
+    )
+    orbit_list = brute.graph_orbits(vertices, edges, word)
+
+    def averages(f):
+        return tuple(Fraction(sum(map(f, orbit)), len(orbit)) for orbit in orbit_list)
+
+    assert report.orbit_sizes == tuple(map(len, orbit_list))
+    assert report.statistic == "card" and report.averages == averages(len)
+    us = sorted(u_set, key=str)
+    assert [sub.statistic for sub in report.sub_reports] == [f"psi:{u}" for u in us]
+    for u, sub in zip(us, report.sub_reports):
+        assert sub.orbit_sizes == report.orbit_sizes
+        assert sub.averages == averages(lambda state: brute.psi_v(edges, state, u))
