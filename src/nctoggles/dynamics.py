@@ -182,13 +182,7 @@ class Statistic:
                 parts += [(1 << s, 2 * c), (conflict_masks(n)[s], c)]
             else:
                 raise ValueError(f"unknown statistic key {key}")
-        if not const and parts == [(full, 1)]:
-            return den, int.bit_count
-        if len(parts) > 2:
-            return den, lambda x: const + sum(w * (x & m).bit_count() for m, w in parts)
-        # Spelled out, the one or two popcounts of a basis element skip a generator.
-        (m, w), (m2, w2) = parts + [(0, 0)] * (2 - len(parts))
-        return den, lambda x: const + w * (x & m).bit_count() + w2 * (x & m2).bit_count()
+        return den, lambda x: const + sum(w * (x & m).bit_count() for m, w in parts)
 
     def __call__(self, partition: NCPartition) -> Fraction:
         return self.evaluate(partition)
