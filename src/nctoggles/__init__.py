@@ -29,13 +29,13 @@ from .indsets import (
     SimpleGraph,
     add_edge,
     apply_vertex_word,
+    base_graph,
     check_cliquish_with,
     complete_minus_edge,
     cycle_with_edge_triangles,
     disjoint_union,
     enumerate_2cliquish_from_skeletal,
     enumerate_independent_sets,
-    gamma_graph,
     graph_isomorphic,
     is_2_cliquish,
     is_skeletal,
@@ -77,10 +77,8 @@ from .ncpartition import (
     validate,
 )
 from .toggles import (
-    BaseGraph,
     PairType,
     ToggleCounts,
-    base_graph,
     classify_pair,
     commutes,
     counts,

@@ -46,6 +46,7 @@ from .ncpartition import (
     EnumerationLimitError,
     NCPartition,
     catalan,
+    enumerate_masks,
     enumerate_nc,
     parse_arcs,
 )
@@ -123,12 +124,12 @@ def _load_word(args) -> ToggleWord:
 
 def _cmd_enumerate(args) -> int:
     limit = _enum_limit(args)
-    partitions = enumerate_nc(args.n, limit)
-    count = len(partitions)
+    count = len(enumerate_masks(args.n, limit))
     payload: dict = {"n": args.n, "count": count, "catalan": catalan(args.n)}
     if args.count_only:
         _emit(args, lambda: str(count), payload)
         return OK
+    partitions = enumerate_nc(args.n, limit)
     if args.blocks:
         lines = [p.block_partition().to_text() for p in partitions]
     else:

@@ -85,6 +85,9 @@ def orbits(word: ToggleWord, limit: int | None = None) -> list[Orbit]:
 
 _Key = tuple
 
+#: Number of indices each basis tag takes: chi(i, j), psi(k), the rest none.
+_ARITY = {"alpha": 0, "beta": 0, "card": 0, "chi": 2, "psi": 1}
+
 
 class Statistic:
     """A formal rational-linear combination of basic partition statistics.
@@ -100,6 +103,9 @@ class Statistic:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[_Key, Fraction]):
+        for key in terms:
+            if not key or _ARITY.get(key[0]) != len(key) - 1:
+                raise ValueError(f"unknown statistic key {key}")
         cleaned = {
             key: Fraction(coeff) for key, coeff in terms.items() if coeff != 0
         }
@@ -142,7 +148,7 @@ class Statistic:
                 if not (1 <= i < j <= n):
                     raise ValueError(f"chi index ({i},{j}) out of range for n={n}")
                 value = mask >> arc_index(n, (i, j)) & 1
-            elif tag == "psi":
+            else:  # psi; construction admits no other tag
                 k = key[1]
                 if not (1 <= k <= n - 1):
                     raise ValueError(f"psi index {k} out of range for n={n}")
@@ -150,8 +156,6 @@ class Statistic:
                 s = arc_index(n, (k, k + 1))
                 nbrs = conflict_masks(n)[s]
                 value = 2 * (mask >> s & 1) + (mask & nbrs).bit_count()
-            else:  # pragma: no cover - construction prevents this
-                raise ValueError(f"unknown statistic key {key}")
             total += coeff * value
         return total
 
@@ -174,14 +178,12 @@ class Statistic:
                 if not (1 <= i < j <= n):
                     raise ValueError(f"chi index ({i},{j}) out of range for n={n}")
                 parts.append((1 << arc_index(n, (i, j)), c))
-            elif tag == "psi":
+            else:  # psi
                 k = key[1]
                 if not (1 <= k <= n - 1):
                     raise ValueError(f"psi index {k} out of range for n={n}")
                 s = arc_index(n, (k, k + 1))
                 parts += [(1 << s, 2 * c), (conflict_masks(n)[s], c)]
-            else:
-                raise ValueError(f"unknown statistic key {key}")
         return den, lambda x: const + sum(w * (x & m).bit_count() for m, w in parts)
 
     def __call__(self, partition: NCPartition) -> Fraction:

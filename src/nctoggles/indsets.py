@@ -3,8 +3,9 @@ skeletal/multigraph bijection.
 
 Vertex toggles on the independent sets of a simple graph generalize arc
 toggles: adding a vertex is legal when none of its neighbors is in the set.
-Noncrossing partitions are the special case of the base graph, whose
-independent sets are exactly the valid arc diagrams.
+Noncrossing partitions are the special case of the base graph
+(:func:`base_graph`), whose independent sets are exactly the valid arc
+diagrams.
 
 A graph is 2-cliquish when it has a maximal independent set U such that
 every u in U has a clique for its neighborhood and every vertex outside U
@@ -25,7 +26,7 @@ from itertools import combinations
 
 from .core import independent_sets, orbit_partition, stepper
 from .dynamics import HomomesyReport, homomesy_report
-from .toggles import base_graph
+from .ncpartition import arc_slots, arcs_conflict, index_arc
 
 
 class GraphSizeError(RuntimeError):
@@ -207,14 +208,7 @@ def enumerate_independent_sets(
 
 def toggle_vertex(graph: SimpleGraph, current: frozenset, v) -> frozenset:
     """Toggle vertex v: remove it, add it if no neighbor is present, else no-op."""
-    k = graph.index_of(v)
-    mask = graph._pack(current)
-    bit = 1 << k
-    if mask & bit:
-        return current - {v}
-    if mask & graph.adj[k]:
-        return current
-    return current | {v}
+    return apply_vertex_word(graph, (v,), current)
 
 
 def psi_v(graph: SimpleGraph, current: frozenset, v) -> int:
@@ -730,9 +724,18 @@ def multigraph_isomorphic(
     )
 
 
-def gamma_graph(n: int) -> SimpleGraph:
-    """The base graph as a SimpleGraph: vertices are arcs of [n], edges join
-    non-commuting toggles.  Its independent sets are exactly the arc
-    diagrams of noncrossing partitions."""
-    base = base_graph(n)
-    return SimpleGraph(base.vertices, base.edges())
+def base_graph(n: int) -> SimpleGraph:
+    """The base graph of [n]: vertex k is the arc in slot k, and edges join
+    non-commuting toggles, so ``adj`` is ``conflict_masks(n)`` and the
+    independent sets are exactly the arc diagrams of noncrossing partitions.
+
+    Laid out on the upper-triangular grid (rows by left endpoint, columns by
+    right endpoint), every row and every column is a clique, and the
+    remaining edges are the crossing pairs i < k < j < l.
+    """
+    if n < 2:
+        raise ValueError(f"base graph needs n >= 2, got {n}")
+    arcs = [index_arc(n, k) for k in range(arc_slots(n))]
+    return SimpleGraph(
+        arcs, [(a, b) for a, b in combinations(arcs, 2) if arcs_conflict(a, b)]
+    )

@@ -29,6 +29,7 @@ from .ncpartition import (
     arc_index,
     conflict_masks,
     enumerate_masks,
+    index_arc,
 )
 from .words import apply_word, kreweras_word
 
@@ -80,8 +81,6 @@ def eta(partition: NCPartition) -> NCPartition:
 def _map_arcs_mask(n: int, mask: int, position: Callable[[int], int]) -> int:
     out = 0
     rest = mask
-    from .ncpartition import index_arc
-
     while rest:
         low = rest & -rest
         i, j = index_arc(n, low.bit_length() - 1)
@@ -168,10 +167,6 @@ def kreweras_prime(partition: NCPartition) -> NCPartition:
     if n <= 1:
         return partition
     return relabel(kreweras(partition), lambda i: i % n + 1)
-
-
-def kreweras_inverse(partition: NCPartition) -> NCPartition:
-    return kreweras_prime(partition)
 
 
 def kreweras_power(partition: NCPartition, power: int) -> NCPartition:

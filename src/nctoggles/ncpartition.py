@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import independent_sets
 
@@ -470,8 +470,3 @@ def enumerate_nc(n: int, limit: int | None = None) -> list[NCPartition]:
     yield the single empty partition.
     """
     return [NCPartition._raw(n, m) for m in enumerate_masks(n, limit)]
-
-
-def iter_nc(n: int, limit: int | None = None) -> Iterator[NCPartition]:
-    for m in enumerate_masks(n, limit):
-        yield NCPartition._raw(n, m)

@@ -6,7 +6,8 @@ is an involution.  Whether two toggles commute depends only on how their
 arcs sit relative to each other, which splits unordered pairs of arcs into
 six classes; the non-commuting classes are exactly the ones whose arcs can
 never coexist in a partition.  The base graph records that relation: its
-vertices are the arcs and its edges join non-commuting pairs.
+vertices are the arcs and its edges join non-commuting pairs
+(:func:`nctoggles.indsets.base_graph`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable
 
 from .core import orbit_partition, stepper
@@ -24,11 +24,9 @@ from .ncpartition import (
     NCPartition,
     arc_index,
     arc_slots,
-    arcs_conflict,
     catalan,
     conflict_masks,
     enumerate_masks,
-    index_arc,
 )
 
 
@@ -83,14 +81,9 @@ def toggle(partition: NCPartition, arc: Arc) -> NCPartition:
     n = partition.n
     if not (1 <= arc[0] < arc[1] <= n):
         raise ValueError(f"arc {arc} out of range for n={n}")
-    k = arc_index(n, arc)
-    mask = partition.mask
-    bit = 1 << k
-    if mask & bit:
-        return NCPartition._raw(n, mask ^ bit)
-    if mask & conflict_masks(n)[k]:
-        return partition
-    return NCPartition._raw(n, mask | bit)
+    return NCPartition._raw(
+        n, stepper(conflict_masks(n), [arc_index(n, arc)])(partition.mask)
+    )
 
 
 def toggle_pairs(
@@ -201,72 +194,3 @@ def counts_observed(n: int, i: int, k: int, limit: int | None = None) -> ToggleC
         else:
             togglable += 1
     return ToggleCounts(containing, togglable, fixed)
-
-
-class BaseGraph:
-    """The graph on all arcs of [n] whose edges join non-commuting toggles.
-
-    Laid out on the upper-triangular grid (rows by left endpoint, columns
-    by right endpoint), every row and every column is a clique, and the
-    remaining edges are the crossing pairs i < k < j < l.
-    """
-
-    __slots__ = ("n", "vertices", "adj_masks")
-
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError(f"base graph needs n >= 2, got {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "vertices", tuple(index_arc(n, k) for k in range(arc_slots(n)))
-        )
-        object.__setattr__(self, "adj_masks", conflict_masks(n))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BaseGraph is immutable")
-
-    def degree(self, arc: Arc) -> int:
-        return self.adj_masks[arc_index(self.n, arc)].bit_count()
-
-    def neighbors(self, arc: Arc) -> tuple[Arc, ...]:
-        rest = self.adj_masks[arc_index(self.n, arc)]
-        out = []
-        while rest:
-            low = rest & -rest
-            out.append(index_arc(self.n, low.bit_length() - 1))
-            rest ^= low
-        return tuple(out)
-
-    def has_edge(self, a: Arc, b: Arc) -> bool:
-        return a != b and arcs_conflict(a, b)
-
-    def edges(self) -> list[tuple[Arc, Arc]]:
-        out = []
-        for k, arc in enumerate(self.vertices):
-            rest = self.adj_masks[k] >> (k + 1) << (k + 1)
-            while rest:
-                low = rest & -rest
-                out.append((arc, index_arc(self.n, low.bit_length() - 1)))
-                rest ^= low
-        return out
-
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj_masks) // 2
-
-    def to_edge_list_text(self) -> str:
-        lines = [f"{i}-{j} {k}-{l}" for (i, j), (k, l) in self.edges()]
-        return "\n".join(lines)
-
-    def to_dot(self) -> str:
-        lines = ["graph base {"]
-        for i, j in self.vertices:
-            lines.append(f'  "{i}-{j}";')
-        for (i, j), (k, l) in self.edges():
-            lines.append(f'  "{i}-{j}" -- "{k}-{l}";')
-        lines.append("}")
-        return "\n".join(lines)
-
-
-@lru_cache(maxsize=None)
-def base_graph(n: int) -> BaseGraph:
-    return BaseGraph(n)

@@ -202,7 +202,7 @@ def check_pair_orders(n_max: int = 6) -> CheckResult:
                         "pair_orders", start, False,
                         f"n={n} {a},{b}: formula {want}, observed {got}",
                     )
-        graph = toggles.base_graph(n)
+        graph = indsets.base_graph(n)
         for arc in arcs:
             if graph.degree(arc) != toggles.noncommuting_count(n, arc):
                 return _result(
@@ -353,7 +353,7 @@ def check_chi13_negative_control() -> CheckResult:
 
 
 def _check_gamma_equivalence(n: int) -> str | None:
-    graph = indsets.gamma_graph(n)
+    graph = indsets.base_graph(n)
     nc_masks = enumerate_masks(n)
     is_masks = indsets.independent_set_masks(graph)
     if nc_masks != is_masks:

@@ -7,8 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 import brute
 from nctoggles.indsets import (
     SimpleGraph,
+    enumerate_independent_sets,
     independent_set_masks,
     independent_set_orbits,
+    toggle_vertex,
 )
 
 
@@ -68,3 +70,16 @@ def test_independent_set_orbits_match_bruteforce_chase(case):
     assert independent_set_orbits(graph, word) == brute.graph_orbits(
         vertices, edges, word
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_words())
+@with_examples
+def test_toggle_vertex_matches_bruteforce_on_every_state(case):
+    vertices, edges, _ = case
+    graph = SimpleGraph(vertices, edges)
+    for state in enumerate_independent_sets(graph):
+        for v in vertices:
+            assert toggle_vertex(graph, state, v) == brute.toggle_vertex(
+                edges, state, v
+            )

@@ -1,0 +1,45 @@
+"""Every module-level import in the package is used.
+
+A stdlib-``ast`` stand-in for a linter's unused-import rule: deleting code
+must not leave its imports behind.  ``__init__.py`` (whose imports are the
+package's re-exports) and ``from __future__`` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nctoggles"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_checker_flags_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from a import b as c\n"
+        "sys.exit()\n"
+    )
+    assert unused_imports(source) == ["os", "c"]
+
+
+def test_package_modules_are_found():
+    assert {"core.py", "toggles.py", "indsets.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -10,6 +10,7 @@ from nctoggles.indsets import (
     SimpleGraph,
     add_edge,
     apply_vertex_word,
+    base_graph,
     check_cliquish_with,
     complete_minus_edge,
     count_labeled_augmentations,
@@ -17,7 +18,6 @@ from nctoggles.indsets import (
     disjoint_union,
     enumerate_2cliquish_from_skeletal,
     enumerate_independent_sets,
-    gamma_graph,
     graph_isomorphic,
     independent_set_orbits,
     is_2_cliquish,
@@ -98,7 +98,7 @@ def test_edgeless_graph_counts():
 
 
 def test_gamma5_has_catalan_many_independent_sets():
-    assert len(enumerate_independent_sets(gamma_graph(5))) == 42
+    assert len(enumerate_independent_sets(base_graph(5))) == 42
 
 
 def test_independent_set_ceiling():
@@ -119,7 +119,7 @@ def test_toggle_vertex_basics():
 
 def test_gamma_graph_matches_partition_toggles():
     for n in range(2, 6):
-        graph = gamma_graph(n)
+        graph = base_graph(n)
         assert enumerate_masks(n) == tuple(
             graph._pack(s) for s in enumerate_independent_sets(graph)
         )
@@ -140,7 +140,7 @@ def test_psi_v_examples():
 
 def test_psi_v_matches_partition_psi_on_gamma():
     for n in range(2, 8):
-        graph = gamma_graph(n)
+        graph = base_graph(n)
         for p in enumerate_nc(n):
             state = frozenset(p.arcs())
             for k in range(1, n):
@@ -237,7 +237,7 @@ def test_pointwise_psi_sum_is_twice_cardinality():
 def test_gamma_graph_short_arcs_reproduce_arc_count_homomesy():
     # U = short arcs embeds the partition theorem in the graph setting
     for n in (4, 5):
-        graph = gamma_graph(n)
+        graph = base_graph(n)
         u_set = frozenset((k, k + 1) for k in range(1, n))
         cert = check_cliquish_with(graph, u_set)
         assert cert is not None and cert.A == n - 1

@@ -9,6 +9,7 @@ of ``tests/brute.py`` psi_v and cardinality over brute-force orbits.
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brute
@@ -108,12 +109,31 @@ def statistics_with_any_index(draw, max_n=7):
 @example((4, Statistic.chi(1, 9)))
 @example((4, Statistic.psi(4)))
 @example((4, Statistic.chi(3, 2) + Statistic.psi(0)))
-@example((3, Statistic({("gamma",): 1})))
 def test_out_of_range_index_raises_as_evaluate(case):
     n, stat = case
     want = outcome(lambda: stat.evaluate(NCPartition._raw(n, 0)))
     assert outcome(lambda: stat.compile(n)) == want
     assert outcome(lambda: check_homomesy(ToggleWord(n), stat)) == want
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        ("gamma",),
+        (),
+        ("alpha", 1),
+        ("beta", 1, 2),
+        ("card", 3),
+        ("chi", 1),
+        ("chi", 1, 2, 3),
+        ("psi",),
+        ("psi", 1, 2),
+    ],
+)
+def test_bad_statistic_key_fails_at_construction(key):
+    for coeff in (1, 0):
+        with pytest.raises(ValueError, match="unknown statistic key"):
+            Statistic({key: coeff})
 
 
 @st.composite

@@ -3,12 +3,17 @@ from itertools import combinations
 import pytest
 
 import brute
-from nctoggles.ncpartition import NCPartition, enumerate_nc
+from nctoggles.indsets import base_graph
+from nctoggles.ncpartition import (
+    NCPartition,
+    arc_slots,
+    conflict_masks,
+    enumerate_nc,
+    index_arc,
+)
 from nctoggles.toggles import (
-    BaseGraph,
     PairType,
     ToggleCounts,
-    base_graph,
     classify_pair,
     commutes,
     counts,
@@ -219,8 +224,16 @@ def test_base_graph_small_cases():
 
 
 def test_base_graph_requires_n_at_least_2():
-    with pytest.raises(ValueError):
-        BaseGraph(1)
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError):
+            base_graph(n)
+
+
+def test_base_graph_vertex_k_is_arc_slot_k():
+    for n in range(2, 9):
+        g = base_graph(n)
+        assert g.adj == conflict_masks(n)
+        assert g.vertices == tuple(index_arc(n, k) for k in range(arc_slots(n)))
 
 
 def test_base_graph_degrees_match_formula():
@@ -254,8 +267,4 @@ def test_base_graph_neighbors_and_text():
     g = base_graph(3)
     assert set(g.neighbors((1, 3))) == {(1, 2), (2, 3)}
     assert g.neighbors((1, 2)) == ((1, 3),)
-    text = g.to_edge_list_text()
-    assert "1-2 1-3" in text
-    dot = g.to_dot()
-    assert dot.startswith("graph base {") and '"1-2" -- "1-3";' in dot
     assert g.edge_count() == 2
