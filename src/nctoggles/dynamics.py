@@ -37,10 +37,10 @@ def orbit_masks(word: ToggleWord, limit: int | None = None) -> list[list[int]]:
     """Orbits of a toggle word on NC(n), as lists of partition bitsets.
 
     The word acts on state indices: each toggle is a list of index swaps
-    (:func:`toggle_pairs`), built afresh on every call.  Orbits come out
-    as :func:`nctoggles.core.cycles` orders them.  ``ToggleWord.stepper``
-    computes the same map one state at a time and serves as the test
-    oracle.
+    (:func:`toggle_pairs`), built once per process and shared by every
+    word on [n].  Orbits come out as :func:`nctoggles.core.cycles` orders
+    them.  ``ToggleWord.stepper`` computes the same map one state at a time
+    and serves as the test oracle.
     """
     n = word.n
     states = enumerate_masks(n, limit)
@@ -54,7 +54,6 @@ def orbit_masks(word: ToggleWord, limit: int | None = None) -> list[list[int]]:
         pairs = iter(tables[k])
         for i, j in zip(pairs, pairs):
             image[i], image[j] = image[j], image[i]
-    del tables  # freed before the orbit lists grow, to lower peak memory
     return cycles(states, image)
 
 

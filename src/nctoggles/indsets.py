@@ -134,13 +134,6 @@ class SimpleGraph:
         vertices, edges = _parse_graph_lines(text)
         return cls(vertices, edges)
 
-    def to_dot(self) -> str:
-        lines = ["graph g {"]
-        lines += [f'  "{v}";' for v in self.vertices]
-        lines += [f'  "{u}" -- "{v}";' for u, v in self.edges()]
-        lines.append("}")
-        return "\n".join(lines)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SimpleGraph)

@@ -31,7 +31,7 @@ from .ncpartition import (
     enumerate_masks,
     index_arc,
 )
-from .words import apply_word, kreweras_word
+from .words import kreweras_word
 
 
 def relabel(partition: NCPartition, mapping: Callable[[int], int]) -> NCPartition:
@@ -153,12 +153,17 @@ def kreweras_prime_oracle(partition: NCPartition) -> NCPartition:
 # --- fast route -------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _kreweras_stepper(n: int) -> Callable[[int], int]:
+    return kreweras_word(n).stepper()
+
+
 def kreweras(partition: NCPartition) -> NCPartition:
     """Kreweras complement via its toggle word; |pi| + |k(pi)| = n + 1."""
     n = partition.n
     if n <= 1:
         return partition
-    return apply_word(kreweras_word(n), partition)
+    return NCPartition._raw(n, _kreweras_stepper(n)(partition.mask))
 
 
 def kreweras_prime(partition: NCPartition) -> NCPartition:

@@ -244,9 +244,6 @@ class NCPartition:
             rest ^= low
         return tuple(out)
 
-    def contains_arc(self, arc: Arc) -> bool:
-        return bool(self.mask >> arc_index(self.n, arc) & 1)
-
     @property
     def arc_count(self) -> int:
         return self.mask.bit_count()

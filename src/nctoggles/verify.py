@@ -114,7 +114,7 @@ def check_nc4_sample_word() -> CheckResult:
 def check_nc6_orbit_sizes() -> CheckResult:
     start = time.perf_counter()
     word = ToggleWord.from_text(6, NC6_COXETER_TEXT)
-    sizes = sorted(o.size for o in dynamics.orbits(word))
+    sizes = sorted(map(len, dynamics.orbit_masks(word)))
     ok = sizes == [4, 22, 46, 60]
     return _result(
         "nc6_coxeter_orbit_sizes", start, ok,
@@ -251,7 +251,7 @@ def check_arc_containment_counts(n_max: int = 10) -> CheckResult:
 def check_kreweras_agreement(n_max: int = 8) -> CheckResult:
     start = time.perf_counter()
     for n in range(1, n_max + 1):
-        inverse_word = words.kreweras_inverse_word(n) if n >= 2 else None
+        inverse_step = words.kreweras_inverse_word(n).stepper() if n >= 2 else None
         for partition in enumerate_nc(n):
             fast = kreweras_map(partition)
             oracle = kreweras_oracle(partition)
@@ -264,8 +264,8 @@ def check_kreweras_agreement(n_max: int = 8) -> CheckResult:
             prime = kreweras_prime(partition)
             prime_oracle = kreweras_prime_oracle(partition)
             via_word = (
-                words.apply_word(inverse_word, partition)
-                if inverse_word is not None
+                NCPartition._raw(n, inverse_step(partition.mask))
+                if inverse_step is not None
                 else partition
             )
             if not (prime == prime_oracle == via_word):
@@ -353,19 +353,29 @@ def check_chi13_negative_control() -> CheckResult:
 
 
 def _check_gamma_equivalence(n: int) -> str | None:
+    """NC(n) is the independent-set system of the base graph, checked
+    against the crossing and nesting rules of ``ncpartition.validate``
+    rather than against the conflict table both sides are built from."""
     graph = indsets.base_graph(n)
     nc_masks = enumerate_masks(n)
-    is_masks = indsets.independent_set_masks(graph)
-    if nc_masks != is_masks:
+    if indsets.independent_set_masks(graph) != nc_masks:
         return f"n={n}: independent sets of the base graph differ from NC(n)"
+    if len(set(nc_masks)) != len(nc_masks) or len(nc_masks) != catalan(n):
+        return f"n={n}: {len(nc_masks)} states are not C_{n} distinct partitions"
     arcs = graph.vertices
     for mask in nc_masks:
         partition = NCPartition._raw(n, mask)
-        state = frozenset(graph._unpack(mask))
+        state = frozenset(partition.arcs())
+        if ncpartition.validate(n, state) is not None:
+            return f"n={n}: {partition!r} is not noncrossing"
         for arc in arcs:
+            # By definition: drop the arc, or add it if the result is valid.
+            flipped = state ^ {arc}
+            legal = arc in state or ncpartition.validate(n, flipped) is None
+            want = flipped if legal else state
             toggled = toggles.toggle(partition, arc)
             via_graph = indsets.toggle_vertex(graph, state, arc)
-            if frozenset(toggled.arcs()) != via_graph:
+            if not frozenset(toggled.arcs()) == via_graph == want:
                 return f"n={n}: toggle at {arc} disagrees on {partition!r}"
     return None
 

@@ -34,7 +34,8 @@ from nctoggles.indsets import (
     toggle_vertex,
     verify_cardinality_homomesy,
 )
-from nctoggles.ncpartition import enumerate_masks, enumerate_nc
+from nctoggles import indsets, verify
+from nctoggles.ncpartition import arc_index, enumerate_masks, enumerate_nc
 from nctoggles.toggles import toggle
 from nctoggles.dynamics import Statistic, eval_statistic
 from nctoggles.verify import enumerate_multigraphs
@@ -129,6 +130,18 @@ def test_gamma_graph_matches_partition_toggles():
                 assert frozenset(toggle(p, arc).arcs()) == toggle_vertex(
                     graph, state, arc
                 )
+
+
+def test_gamma_equivalence_checks_states_against_validate(monkeypatch):
+    # Both enumerations agree and keep the Catalan count, but one state is
+    # the crossing pair (1,3), (2,4): only the noncrossing rules catch it.
+    states = list(enumerate_masks(4))
+    states[-1] = 1 << arc_index(4, (1, 3)) | 1 << arc_index(4, (2, 4))
+    monkeypatch.setattr(verify, "enumerate_masks", lambda n: tuple(states))
+    monkeypatch.setattr(indsets, "independent_set_masks", lambda g: tuple(states))
+    assert verify._check_gamma_equivalence(4) == (
+        "n=4: NCPartition(4, [(1, 3), (2, 4)]) is not noncrossing"
+    )
 
 
 def test_psi_v_examples():

@@ -18,7 +18,7 @@ from nctoggles.kreweras import (
     simion_ullman,
 )
 from nctoggles.ncpartition import NCPartition, enumerate_nc
-from nctoggles.words import apply_word, kreweras_inverse_word
+from nctoggles.words import apply_word, kreweras_inverse_word, kreweras_word
 
 PI8 = NCPartition(8, [(2, 4), (4, 5), (6, 8)])
 
@@ -45,6 +45,13 @@ def test_oracle_matches_word_route():
     for n in range(1, 8):
         for p in enumerate_nc(n):
             assert kreweras(p) == kreweras_oracle(p)
+
+
+def test_cached_stepper_matches_the_word():
+    for n in range(2, 8):
+        word = kreweras_word(n)
+        for p in enumerate_nc(n):
+            assert kreweras(p) == apply_word(word, p)
 
 
 def test_prime_three_routes_agree():

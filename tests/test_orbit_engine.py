@@ -1,12 +1,20 @@
 """The swap-list orbit engine against the one-state-at-a-time stepper."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brute
 from nctoggles.dynamics import orbit_masks
-from nctoggles.ncpartition import NCPartition, arc_index, enumerate_masks
-from nctoggles.toggles import toggle_pairs
-from nctoggles.words import ToggleWord
+from nctoggles.ncpartition import (
+    EnumerationLimitError,
+    NCPartition,
+    _enum_masks_cached,
+    arc_index,
+    arc_slots,
+    enumerate_masks,
+)
+from nctoggles.toggles import _pair_tables, toggle_pairs
+from nctoggles.words import ToggleWord, kreweras_word, row_word
 
 
 def stepper_orbits(word):
@@ -74,3 +82,35 @@ def test_toggle_pairs_cover_only_requested_slots():
     tables = toggle_pairs(5, [arc_index(5, (2, 4)), arc_index(5, (2, 4))])
     assert list(tables) == [arc_index(5, (2, 4))]
     assert toggle_pairs(5, []) == {}
+
+
+def test_tables_built_in_steps_equal_a_fresh_build():
+    for n in (4, 6, 7):
+        every = list(range(arc_slots(n)))
+        _pair_tables.cache_clear()
+        subset = toggle_pairs(n, every[::3])
+        superset = toggle_pairs(n, every[::3] + every[1::3])
+        stepwise = toggle_pairs(n, every)
+        repeat = toggle_pairs(n, every)
+        assert all(superset[k] is subset[k] for k in subset)
+        assert all(stepwise[k] is superset[k] for k in superset)
+        assert all(repeat[k] is stepwise[k] for k in every)
+        _pair_tables.cache_clear()
+        fresh = toggle_pairs(n, every)
+        assert sorted(stepwise) == sorted(fresh) == every
+        for k in every:
+            assert stepwise[k] is not fresh[k] and stepwise[k] == fresh[k]
+
+
+def test_orbit_masks_survive_an_enumeration_cache_clear():
+    for word in (row_word(6), kreweras_word(7), ToggleWord(7, [(2, 5), (1, 7), (2, 3)])):
+        toggle_pairs(word.n, range(arc_slots(word.n)))
+        _enum_masks_cached.cache_clear()
+        assert orbit_masks(word) == stepper_orbits(word)
+
+
+def test_toggle_pairs_ceiling_fails_before_caching():
+    before = _pair_tables.cache_info()
+    with pytest.raises(EnumerationLimitError):
+        toggle_pairs(13, [0], limit=12)
+    assert _pair_tables.cache_info() == before
