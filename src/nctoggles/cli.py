@@ -5,7 +5,7 @@ Exit codes: 0 = verified / holds, 1 = falsified / counterexample found,
 parse error.  JSON output is byte-identical across identical invocations
 and embeds the invocation config, tool version, and seed.
 
-The enumeration ceiling defaults to 16 and can be raised per invocation
+The enumeration ceiling defaults to 15 and can be raised per invocation
 with ``--max-n`` or globally with the NCTOGGLES_MAX_ENUM environment
 variable.
 """

@@ -2,8 +2,12 @@
 
 A statistic f is homomesic under a bijection T of a finite set when the
 average of f over every T-orbit is the same constant c ("c-mesic").  All
-averages here are exact rationals; homomesy is an equality of fractions,
-never a floating-point comparison.
+arithmetic here is exact; homomesy is never a floating-point comparison.
+Statistics compile to integer term lists (:meth:`Statistic.compile`), a
+report keeps each orbit's integer sum, and its verdict compares orbit
+averages by integer cross-multiplication.  The ``averages`` Fractions are
+built on first read.  :meth:`Statistic.evaluate` and :func:`orbit_average`
+work one partition at a time in Fractions and stay the oracle.
 
 The central facts verified by this module: for any partial Coxeter word
 containing every short arc (i, i+1), the arc count is (n-1)/2-mesic and the
@@ -15,9 +19,9 @@ homomesic, and the smallest counterexample lives in NC(3).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .core import cycles, stepper
@@ -83,6 +87,10 @@ def orbits(word: ToggleWord, limit: int | None = None) -> list[Orbit]:
 # --- statistics ------------------------------------------------------------
 
 _Key = tuple
+
+#: A statistic as integer data, ``(den, const, terms)`` with ``terms`` a
+#: tuple of ``(mask, weight)`` pairs (see :meth:`Statistic.compile`).
+_LinearForm = tuple[int, int, tuple[tuple[int, int], ...]]
 
 #: Number of indices each basis tag takes: chi(i, j), psi(k), the rest none.
 _ARITY = {"alpha": 0, "beta": 0, "card": 0, "chi": 2, "psi": 1}
@@ -158,10 +166,11 @@ class Statistic:
             total += coeff * value
         return total
 
-    def compile(self, n: int) -> tuple[int, Callable[[int], int]]:
-        """``(den, value)`` with ``Fraction(value(mask), den)`` equal to
-        :meth:`evaluate` on NC(n).  Each basis element is an int popcount
-        ``(mask & M).bit_count()`` (M all arcs, one arc, or for psi_k the short
+    def compile(self, n: int) -> _LinearForm:
+        """The integer linear form ``(den, const, terms)`` of the statistic
+        on NC(n): at state x, ``Fraction(const + sum(w * (x & M).bit_count()
+        for M, w in terms), den)`` equals :meth:`evaluate`.  Each basis element
+        is a popcount over a mask M (all arcs, one arc, or for psi_k the short
         arc twice and its base-graph neighbours); a bad index raises as there.
         """
         den = lcm(*(coeff.denominator for _, coeff in self.terms))
@@ -183,7 +192,10 @@ class Statistic:
                     raise ValueError(f"psi index {k} out of range for n={n}")
                 s = arc_index(n, (k, k + 1))
                 parts += [(1 << s, 2 * c), (conflict_masks(n)[s], c)]
-        return den, lambda x: const + sum(w * (x & m).bit_count() for m, w in parts)
+        weights: dict[int, int] = {}
+        for mask, w in parts:  # one term per mask, zero weights dropped
+            weights[mask] = weights.get(mask, 0) + w
+        return den, const, tuple((m, w) for m, w in weights.items() if w)
 
     def __call__(self, partition: NCPartition) -> Fraction:
         return self.evaluate(partition)
@@ -264,42 +276,62 @@ def orbit_average(stat: Statistic, orbit: Orbit) -> Fraction:
 
 @dataclass(frozen=True)
 class HomomesyReport:
-    """Per-orbit averages of one statistic under one word, and the verdict
-    read off them.
+    """Per-orbit sums of one statistic under one word, and the verdict read
+    off them.
 
+    ``sums[i]`` is ``den`` times the statistic summed over orbit i, an
+    integer, so orbit i averages ``sums[i] / (den * orbit_sizes[i])``.
     ``homomesic`` is True when all orbit averages agree; ``mean`` then holds
     the common value.  Otherwise ``counterexample`` names the first two
-    orbits (by index) whose averages differ.  ``precondition`` is None when
-    the hypotheses of the theorem being probed hold, else a message — the
-    check still runs, because probing a theorem outside its hypotheses is
-    exactly how counterexamples are found.
+    orbits (by index) whose averages differ.  Both are decided by integer
+    cross-multiplication; the ``averages`` Fractions are built on first
+    read.  ``precondition`` is None when the hypotheses of the theorem being
+    probed hold, else a message — the check still runs, because probing a
+    theorem outside its hypotheses is exactly how counterexamples are found.
     """
 
     word: str
     statistic: str
     space: str
     orbit_sizes: tuple[int, ...]
-    averages: tuple[Fraction, ...]
+    sums: tuple[int, ...]
+    den: int
     expected_mean: Fraction | None = None
     precondition: str | None = None
     sub_reports: tuple["HomomesyReport", ...] = ()
 
+    @cached_property
+    def averages(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(
+            Fraction(t, den * s) for t, s in zip(self.sums, self.orbit_sizes)
+        )
+
+    def _first_unequal(self) -> int | None:
+        """Index of the first orbit whose average differs from orbit 0's:
+        t_i / s_i != t_0 / s_0 exactly when t_i * s_0 != t_0 * s_i."""
+        if not self.sums:
+            return None
+        t0, s0 = self.sums[0], self.orbit_sizes[0]
+        for i, (t, s) in enumerate(zip(self.sums, self.orbit_sizes)):
+            if t * s0 != t0 * s:
+                return i
+        return None
+
     @property
     def homomesic(self) -> bool:
-        # count() compares by equality; hashing every Fraction costs more.
-        averages = self.averages
-        return not averages or averages.count(averages[0]) == len(averages)
+        return self._first_unequal() is None
 
     @property
     def mean(self) -> Fraction | None:
-        return self.averages[0] if self.homomesic and self.averages else None
+        if not self.sums or not self.homomesic:
+            return None
+        return Fraction(self.sums[0], self.den * self.orbit_sizes[0])
 
     @property
     def counterexample(self) -> tuple[int, int] | None:
-        if self.homomesic:
-            return None
-        first = self.averages[0]
-        return 0, next(i for i, a in enumerate(self.averages) if a != first)
+        j = self._first_unequal()
+        return None if j is None else (0, j)
 
     @property
     def holds(self) -> bool:
@@ -358,22 +390,29 @@ class HomomesyReport:
 
 def homomesy_report(
     word: str, space: str, orbit_list: list[list[int]],
-    stats: list[tuple[str, tuple[int, Callable[[int], int]], Fraction | None]],
+    stats: list[tuple[str, _LinearForm, Fraction | None]],
     precondition: str | None = None,
 ) -> HomomesyReport:
     """The first statistic's report over orbits of bitsets (of NC(n) or of a
     graph), with the others' as its sub-reports.  A statistic is ``(label,
-    (den, value), expected_mean)`` and is ``value(m) / den`` at state m (see
-    :meth:`Statistic.compile`): an orbit average is one ``Fraction`` of ints.
+    (den, const, terms), expected_mean)``, the integer linear form of
+    :meth:`Statistic.compile`.  Each distinct mask M of the terms is summed
+    once per orbit, ``sum((x & M).bit_count() for x in orbit)``, and shared
+    by every statistic that uses it.
     """
-    reports = [
-        HomomesyReport(
-            word, label, space, tuple(map(len, orbit_list)),
-            tuple(Fraction(sum(map(value, o)), den * len(o)) for o in orbit_list),
-            expected_mean, precondition,
-        )
-        for label, (den, value), expected_mean in stats
-    ]
+    sizes = tuple(map(len, orbit_list))
+    popcounts = {
+        mask: [sum(map(int.bit_count, map(mask.__and__, o))) for o in orbit_list]
+        for mask in {m for _, (_, _, terms), _ in stats for m, _ in terms}
+    }
+    reports = []
+    for label, (den, const, terms), expected_mean in stats:
+        sums = [const * s for s in sizes]
+        for mask, w in terms:
+            sums = [t + w * p for t, p in zip(sums, popcounts[mask])]
+        reports.append(HomomesyReport(
+            word, label, space, sizes, tuple(sums), den, expected_mean, precondition,
+        ))
     return replace(reports[0], sub_reports=tuple(reports[1:]))
 
 

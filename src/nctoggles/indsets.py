@@ -358,11 +358,12 @@ def verify_cardinality_homomesy(
 
     states = independent_set_masks(graph, limit)
     orbits = orbit_partition(states, _vertex_word_stepper(graph, word))
-    stats = [("card", (1, int.bit_count), Fraction(cert.A, 2))]
+    full = (1 << graph.n_vertices) - 1
+    stats = [("card", (1, 0, ((full, 1),)), Fraction(cert.A, 2))]
     for u in sorted(cert.u_set, key=str):
         k = graph.index_of(u)
-        psi = lambda m, k=k, nbrs=graph.adj[k]: 2 * (m >> k & 1) + (m & nbrs).bit_count()
-        stats.append((f"psi:{u}", (1, psi), Fraction(1)))
+        psi = (1, 0, ((1 << k, 2), (graph.adj[k], 1)))
+        stats.append((f"psi:{u}", psi, Fraction(1)))
     space = f"ind(G) on {graph.n_vertices} vertices"
     return homomesy_report(vertex_word_text(word), space, orbits, stats, precondition)
 

@@ -11,7 +11,9 @@ Two implementations are kept deliberately: a brute-force geometric oracle
 that searches all candidate complements on the interleaved 2n points, and a
 fast O(n^2) toggle-word route.  The oracle also pins down "coarsest" as the
 unique candidate with the fewest blocks and fails hard if that minimizer is
-ever not unique.
+ever not unique.  Its candidates and their conflicts come from the pair
+rule of ``ncpartition.validate``, so it shares no table with the fast
+route, whose toggles run on ``conflict_masks``.
 
 The relabeling i -> i+1 (mod n) of k(pi) — written k(pi)' — coincides with
 the inverse complement and with the row toggle word applied to pi.  The
@@ -22,13 +24,17 @@ n.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable
 
+from .core import independent_sets
 from .ncpartition import (
+    DEFAULT_ENUM_LIMIT,
+    EnumerationLimitError,
     NCPartition,
+    _pair_violation,
     arc_index,
-    conflict_masks,
-    enumerate_masks,
+    arc_slots,
     index_arc,
 )
 from .words import kreweras_word
@@ -89,17 +95,30 @@ def _map_arcs_mask(n: int, mask: int, position: Callable[[int], int]) -> int:
     return out
 
 
-@lru_cache(maxsize=8)
+def _violation_masks(m: int) -> list[int]:
+    # For every arc slot of [m], the slots whose arcs ``validate`` rejects
+    # beside it; the fast route's conflict table is deliberately not used.
+    arcs = [index_arc(m, k) for k in range(arc_slots(m))]
+    masks = [0] * len(arcs)
+    for x, y in combinations(range(len(arcs)), 2):
+        if _pair_violation(arcs[x], arcs[y]) is not None:
+            masks[x] |= 1 << y
+            masks[y] |= 1 << x
+    return masks
+
+
+@lru_cache(maxsize=16)
 def _complement_table(n: int, primes_clockwise: bool) -> tuple[tuple[int, int], ...]:
-    # For every candidate complement sigma, precompute the set of arc slots
-    # of [2n] that conflict with sigma's mapped arcs.
-    table2n = conflict_masks(2 * n)
+    # For every candidate complement sigma (a noncrossing partition of [n]
+    # by the ``validate`` rule), the set of arc slots of [2n] that conflict
+    # with sigma's mapped arcs.
+    table2n = _violation_masks(2 * n)
     if primes_clockwise:
         prime_pos = lambda i: 2 * i
     else:
         prime_pos = lambda i: 2 * i - 1
     entries = []
-    for sigma in enumerate_masks(n):
+    for sigma in independent_sets(_violation_masks(n)):
         mapped = _map_arcs_mask(n, sigma, prime_pos)
         forbidden = 0
         rest = mapped
@@ -115,6 +134,9 @@ def _coarsest_complement(partition: NCPartition, primes_clockwise: bool) -> NCPa
     n = partition.n
     if n <= 1:
         return partition
+    if n > DEFAULT_ENUM_LIMIT:
+        # The candidate table holds all C_n partitions of [n].
+        raise EnumerationLimitError(n, DEFAULT_ENUM_LIMIT)
     if primes_clockwise:
         plain_pos = lambda i: 2 * i - 1
     else:

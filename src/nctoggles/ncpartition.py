@@ -29,8 +29,10 @@ Arc = tuple[int, int]
 
 #: Largest n accepted for single-partition operations.
 MAX_N = 64
-#: Default ceiling for exhaustive enumeration (C_16 is about 3.5e7).
-DEFAULT_ENUM_LIMIT = 16
+#: Default ceiling for exhaustive enumeration.  C_15 is about 9.7e6 states
+#: (about 2 GB at the ~213 B/state measured at n = 14); C_16, about 3.5e7,
+#: would need about 7.5 GB.
+DEFAULT_ENUM_LIMIT = 15
 
 
 class ViolationKind(Enum):

@@ -531,6 +531,15 @@ def check_chi_sum_conjugation(
     )
 
 
+def _run_check(name: str, check) -> CheckResult:
+    """Run one check; an exception it raises becomes a FAIL naming it."""
+    start = time.perf_counter()
+    try:
+        return check()
+    except Exception as exc:
+        return _result(name, start, False, f"{type(exc).__name__}: {exc}")
+
+
 def run_all(
     max_n: int | None = None,
     num_words: int = DEFAULT_WORDS,
@@ -539,6 +548,8 @@ def run_all(
     """Run every check, optionally capping the n-ranges at ``max_n``.
 
     Fixed small-n identities always run; ``max_n`` scales only the ranges.
+    A check that raises is reported as a FAIL with the exception as its
+    detail, and the checks after it still run.
     """
 
     def cap(default: int, floor: int = 2) -> int:
@@ -546,23 +557,23 @@ def run_all(
             return default
         return max(floor, min(default, max_n))
 
-    return [
-        check_catalan_counts(cap(12, 4)),
-        check_nc4_sample_word(),
-        check_nc6_orbit_sizes(),
-        check_arc_count_homomesy(3, cap(8, 3), num_words, seed),
-        check_psi_balance(3, cap(8, 3), num_words, seed),
-        check_pair_orders(cap(6, 3)),
-        check_arc_containment_counts(cap(10, 3)),
-        check_kreweras_agreement(cap(8, 3)),
-        check_row_column_identity(cap(7, 3)),
-        check_even_orbits(
-            tuple(n for n in (4, 6, 8) if max_n is None or n <= max(4, max_n)),
-            num_words,
-            seed,
-        ),
-        check_chi13_negative_control(),
-        check_independent_set_generalization(cap(6, 3), 20, seed),
-        check_skeletal_bijection(cap(7, 4)),
-        check_chi_sum_conjugation(cap(5, 3), 20, seed),
+    evens = tuple(n for n in (4, 6, 8) if max_n is None or n <= max(4, max_n))
+    checks = [
+        ("catalan_counts", lambda: check_catalan_counts(cap(12, 4))),
+        ("nc4_sample_word", check_nc4_sample_word),
+        ("nc6_coxeter_orbit_sizes", check_nc6_orbit_sizes),
+        ("arc_count_homomesy",
+         lambda: check_arc_count_homomesy(3, cap(8, 3), num_words, seed)),
+        ("psi_balance", lambda: check_psi_balance(3, cap(8, 3), num_words, seed)),
+        ("pair_orders", lambda: check_pair_orders(cap(6, 3))),
+        ("arc_containment_counts", lambda: check_arc_containment_counts(cap(10, 3))),
+        ("kreweras_agreement", lambda: check_kreweras_agreement(cap(8, 3))),
+        ("row_column_identity", lambda: check_row_column_identity(cap(7, 3))),
+        ("even_orbits", lambda: check_even_orbits(evens, num_words, seed)),
+        ("chi13_negative_control", check_chi13_negative_control),
+        ("independent_set_generalization",
+         lambda: check_independent_set_generalization(cap(6, 3), 20, seed)),
+        ("skeletal_multigraph_bijection", lambda: check_skeletal_bijection(cap(7, 4))),
+        ("chi_sum_conjugation", lambda: check_chi_sum_conjugation(cap(5, 3), 20, seed)),
     ]
+    return [_run_check(name, check) for name, check in checks]

@@ -37,7 +37,14 @@ def test_enumerate_blocks(capsys):
 def test_enumerate_ceiling_exit_code(capsys):
     code, out, err = run(capsys, "enumerate", "20")
     assert code == 2
-    assert "16" in err and "20" in err
+    assert "15" in err and "20" in err
+
+
+def test_enumerate_16_is_over_the_default_ceiling(capsys):
+    # enumerate_masks raises before it enumerates, so nothing is allocated.
+    code, out, err = run(capsys, "enumerate", "16", "--count-only")
+    assert code == 2 and out == ""
+    assert "n=16 exceeds the enumeration ceiling of 15" in err
 
 
 def test_enumerate_env_ceiling(capsys, monkeypatch):
@@ -312,6 +319,14 @@ def test_kreweras_oracle_route_matches(capsys):
         capsys, "kreweras", "8", "--partition", "(2,4) (4,5) (6,8)", "--oracle"
     )
     assert fast == slow
+
+
+@pytest.mark.parametrize("flags", [["--oracle"], ["--prime", "--oracle"]])
+def test_kreweras_oracle_ceiling_exit_code(capsys, flags):
+    # The oracle raises before it builds its C_16 candidate table.
+    code, out, err = run(capsys, "kreweras", "16", *flags)
+    assert (code, out) == (2, "")
+    assert "n=16 exceeds the enumeration ceiling of 15" in err
 
 
 def test_kreweras_simion_ullman_involution(capsys):

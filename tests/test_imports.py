@@ -1,8 +1,9 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package and in the tests is used.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: deleting code
-must not leave its imports behind.  ``__init__.py`` (whose imports are the
-package's re-exports) and ``from __future__`` imports are exempt.
+must not leave its imports behind.  The package's ``__init__.py`` (whose
+imports are the package's re-exports) and ``from __future__`` imports are
+exempt.
 """
 
 import ast
@@ -12,6 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nctoggles"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,8 +40,14 @@ def test_checker_flags_an_unused_import():
 
 def test_package_modules_are_found():
     assert {"core.py", "toggles.py", "indsets.py"} <= {p.name for p in MODULES}
+    assert {"brute.py", "test_imports.py"} <= {p.name for p in TESTS}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_every_test_module_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

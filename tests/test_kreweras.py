@@ -17,7 +17,7 @@ from nctoggles.kreweras import (
     rotate,
     simion_ullman,
 )
-from nctoggles.ncpartition import NCPartition, enumerate_nc
+from nctoggles.ncpartition import EnumerationLimitError, NCPartition, enumerate_nc
 from nctoggles.words import apply_word, kreweras_inverse_word, kreweras_word
 
 PI8 = NCPartition(8, [(2, 4), (4, 5), (6, 8)])
@@ -163,3 +163,9 @@ def test_package_attribute_is_the_module():
     assert isinstance(K, ModuleType)
     assert callable(K.kreweras)
     assert K.kreweras(PI8) == kreweras(PI8)
+
+
+@pytest.mark.parametrize("oracle", [kreweras_oracle, kreweras_prime_oracle])
+def test_oracle_respects_the_enumeration_ceiling(oracle):
+    with pytest.raises(EnumerationLimitError, match="n=16 exceeds the enumeration ceiling of 15"):
+        oracle(NCPartition(16, []))

@@ -184,7 +184,7 @@ def test_enumeration_order_is_lexicographic():
 def test_enumeration_ceiling():
     with pytest.raises(EnumerationLimitError) as err:
         enumerate_nc(17)
-    assert "17" in str(err.value) and "16" in str(err.value)
+    assert "17" in str(err.value) and "15" in str(err.value)
     with pytest.raises(EnumerationLimitError):
         enumerate_nc(6, limit=5)
 

@@ -1,9 +1,11 @@
 """Orbit averages as integer sums over bitsets against the per-state oracle.
 
-On NC(n) the reports sum ``Statistic.compile`` over ``orbit_masks``; the
-oracle is ``orbit_average``, which sums ``Statistic.evaluate`` as Fractions
-over ``Orbit`` objects.  On graphs the reports must equal a Fraction average
-of ``tests/brute.py`` psi_v and cardinality over brute-force orbits.
+On NC(n) the reports sum the term list of ``Statistic.compile`` over
+``orbit_masks``; the oracle is ``orbit_average``, which sums
+``Statistic.evaluate`` as Fractions over ``Orbit`` objects.  On graphs the
+reports must equal a Fraction average of ``tests/brute.py`` psi_v and
+cardinality over brute-force orbits.  Verdicts, decided on integer sums by
+cross-multiplication, must equal the ones read off those Fractions.
 """
 
 from fractions import Fraction
@@ -13,13 +15,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brute
-from nctoggles.dynamics import Statistic, check_homomesy, orbit_average, orbits
+from nctoggles.dynamics import (
+    HomomesyReport,
+    Statistic,
+    check_homomesy,
+    homomesy_report,
+    orbit_average,
+    orbits,
+)
 from nctoggles.indsets import (
     CliquishCertificate,
     SimpleGraph,
     verify_cardinality_homomesy,
 )
 from nctoggles.ncpartition import NCPartition, enumerate_masks
+from nctoggles.verify import sample_qualifying_word
 from nctoggles.words import ToggleWord
 
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -74,12 +84,86 @@ def test_report_averages_match_per_state_oracle(case):
 @given(words_with_statistics())
 def test_compiled_value_is_an_int_matching_evaluate(case):
     word, stat = case
-    den, value = stat.compile(word.n)
-    assert type(den) is int and den >= 1
+    den, const, terms = stat.compile(word.n)
+    assert type(den) is int and den >= 1 and type(const) is int
+    assert all(type(m) is int and type(w) is int and w for m, w in terms)
+    assert len({m for m, _ in terms}) == len(terms)
     for mask in enumerate_masks(word.n):
-        got = value(mask)
+        got = const + sum(w * (mask & m).bit_count() for m, w in terms)
         assert type(got) is int
         assert Fraction(got, den) == stat.evaluate(NCPartition._raw(word.n, mask))
+
+
+def assert_verdicts_follow_averages(report, averages):
+    """Every verdict field equals the one read off exact Fraction averages."""
+    assert report.averages == averages
+    assert all(type(avg) is Fraction for avg in report.averages)
+    differ = [i for i, avg in enumerate(averages) if avg != averages[0]]
+    homomesic = not differ
+    mean = averages[0] if homomesic and averages else None
+    assert report.homomesic is homomesic
+    assert report.mean == mean and type(report.mean) is type(mean)
+    assert report.counterexample == (None if homomesic else (0, differ[0]))
+    if report.precondition is not None:
+        verdict = f"precondition unmet: {report.precondition}"
+    elif homomesic:
+        verdict = f"{mean}-mesic"
+    else:
+        j = differ[0]
+        verdict = (
+            f"not homomesic: orbit 0 averages {averages[0]}, "
+            f"orbit {j} averages {averages[j]}"
+        )
+    assert report.verdict == verdict
+
+
+@st.composite
+def homomesic_cases(draw, max_n=7):
+    """A partial Coxeter word containing every short arc, with a combination
+    of alpha, beta and psi_k: homomesic by the paper's theorems, so the
+    ``mean`` branch is exercised as often as the counterexample one."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    word = sample_qualifying_word(draw(st.randoms(use_true_random=False)), n)
+    keys = [("alpha",), ("beta",)] + [("psi", k) for k in range(1, n)]
+    stat = Statistic({})
+    for key in draw(st.lists(st.sampled_from(keys), max_size=4)):
+        stat = stat + draw(COEFFS) * Statistic({key: 1})
+    return word, stat
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(words_with_statistics(), homomesic_cases()))
+@example((ToggleWord.from_text(3, "1,3 2,3 1,2"), Statistic.chi(1, 3)))
+@example((ToggleWord.from_text(4, "3,4 1,2 2,3 1,4"), Statistic.alpha()))
+def test_report_verdicts_match_fraction_oracle(case):
+    word, stat = case
+    report = check_homomesy(word, stat)
+    assert_verdicts_follow_averages(
+        report, tuple(orbit_average(stat, o) for o in orbits(word))
+    )
+
+
+#: The statistic "bit 0 of the state", as an integer linear form.
+LOW_BIT = (1, 0, ((1, 1),))
+
+
+def test_equal_averages_from_unequal_sums():
+    # Orbit sizes 2 and 4 with sums 1 and 2: both average 1/2.
+    report = homomesy_report("w", "X", [[1, 0], [0, 1, 1, 0]], [("x", LOW_BIT, None)])
+    assert report.sums == (1, 2) and report.orbit_sizes == (2, 4)
+    assert report.homomesic and report.counterexample is None
+    assert report.mean == Fraction(1, 2) and report.verdict == "1/2-mesic"
+    scaled = HomomesyReport("w", "x", "X", (2, 4), (3, 6), 3)
+    assert scaled.homomesic and scaled.mean == Fraction(1, 2)
+
+
+def test_unequal_averages_from_equal_sums():
+    # Orbit sizes 2 and 4 with sums 2 and 2: they average 1 and 1/2.
+    report = homomesy_report("w", "X", [[1, 1], [1, 0, 0, 1]], [("x", LOW_BIT, None)])
+    assert report.sums == (2, 2) and report.orbit_sizes == (2, 4)
+    assert not report.homomesic and report.mean is None
+    assert report.counterexample == (0, 1)
+    assert report.verdict == "not homomesic: orbit 0 averages 1, orbit 1 averages 1/2"
 
 
 def outcome(fn):
@@ -168,9 +252,12 @@ def test_graph_reports_match_bruteforce_averages(case):
         return tuple(Fraction(sum(map(f, orbit)), len(orbit)) for orbit in orbit_list)
 
     assert report.orbit_sizes == tuple(map(len, orbit_list))
-    assert report.statistic == "card" and report.averages == averages(len)
+    assert report.statistic == "card"
+    assert_verdicts_follow_averages(report, averages(len))
     us = sorted(u_set, key=str)
     assert [sub.statistic for sub in report.sub_reports] == [f"psi:{u}" for u in us]
     for u, sub in zip(us, report.sub_reports):
         assert sub.orbit_sizes == report.orbit_sizes
-        assert sub.averages == averages(lambda state: brute.psi_v(edges, state, u))
+        assert_verdicts_follow_averages(
+            sub, averages(lambda state: brute.psi_v(edges, state, u))
+        )

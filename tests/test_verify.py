@@ -1,0 +1,65 @@
+"""The verification suite reports failures instead of crashing, and its
+Kreweras oracle does not share the fast route's conflict table."""
+
+import pytest
+
+from nctoggles import kreweras, ncpartition, toggles, verify, words
+from nctoggles.ncpartition import arc_index
+
+CHECK_NAMES = [
+    "catalan_counts", "nc4_sample_word", "nc6_coxeter_orbit_sizes",
+    "arc_count_homomesy", "psi_balance", "pair_orders", "arc_containment_counts",
+    "kreweras_agreement", "row_column_identity", "even_orbits",
+    "chi13_negative_control", "independent_set_generalization",
+    "skeletal_multigraph_bijection", "chi_sum_conjugation",
+]
+
+
+def test_a_raising_check_is_a_fail_and_the_rest_still_run(monkeypatch):
+    def boom(*args):
+        raise RuntimeError("coarsest complement is not unique")
+
+    monkeypatch.setattr(verify, "check_kreweras_agreement", boom)
+    results = verify.run_all(max_n=4, num_words=2)
+    assert [r.name for r in results] == CHECK_NAMES
+    failed = [r for r in results if not r.passed]
+    assert [(r.name, r.detail) for r in failed] == [
+        ("kreweras_agreement", "RuntimeError: coarsest complement is not unique")
+    ]
+    assert failed[0].line().startswith("FAIL kreweras_agreement (")
+
+
+def _clear_nc_caches():
+    ncpartition._enum_masks_cached.cache_clear()
+    toggles._pair_tables.cache_clear()
+    kreweras._kreweras_stepper.cache_clear()
+    kreweras._complement_table.cache_clear()
+
+
+@pytest.fixture
+def arcs_12_and_34_conflict(monkeypatch):
+    """The fast route's conflict table, broken so that (1,2) and (3,4) clash."""
+    real = ncpartition.conflict_masks
+
+    def broken(n):
+        masks = list(real(n))
+        if n >= 4:
+            a, b = arc_index(n, (1, 2)), arc_index(n, (3, 4))
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        return tuple(masks)
+
+    for module in (ncpartition, words, toggles):
+        monkeypatch.setattr(module, "conflict_masks", broken)
+    _clear_nc_caches()
+    yield
+    _clear_nc_caches()
+
+
+def test_kreweras_oracle_catches_a_broken_conflict_table(arcs_12_and_34_conflict):
+    # The complement of the all-singletons partition of [4] is the single
+    # block {1,2,3,4}, whose arcs (1,2) (2,3) (3,4) the broken table forbids.
+    result = verify.check_kreweras_agreement(4)
+    assert not result.passed
+    assert result.detail.startswith("n=4 ")
+    assert "!= oracle ((1, 2), (2, 3), (3, 4))" in result.detail
