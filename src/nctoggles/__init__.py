@@ -15,7 +15,6 @@ from .dynamics import (
     Statistic,
     check_homomesy,
     chi_sum_conjugation_check,
-    eval_statistic,
     even_orbits_check,
     orbit_average,
     orbits,

@@ -40,7 +40,8 @@ from .words import ToggleWord, admissible_conjugate, is_partial_coxeter
 def orbit_masks(word: ToggleWord, limit: int | None = None) -> list[list[int]]:
     """Orbits of a toggle word on NC(n), as lists of partition bitsets.
 
-    The word acts on state indices: each toggle is a list of index swaps
+    ``limit`` is the enumeration ceiling, checked once here.  The word acts
+    on state indices: each toggle is a list of index swaps
     (:func:`toggle_pairs`), built once per process and shared by every
     word on [n].  Orbits come out as :func:`nctoggles.core.cycles` orders
     them.  ``ToggleWord.stepper`` computes the same map one state at a time
@@ -49,7 +50,7 @@ def orbit_masks(word: ToggleWord, limit: int | None = None) -> list[list[int]]:
     n = word.n
     states = enumerate_masks(n, limit)
     slots = [arc_index(n, arc) for arc in word.arcs]
-    tables = toggle_pairs(n, slots, limit)
+    tables = toggle_pairs(n, slots, states)
     # Swapping entries i, j of an array holding a map g, for every pair of a
     # toggle t, leaves it holding g . t.  Going through the word backwards
     # from the identity therefore ends with image[i] = index of word(state i).
@@ -197,9 +198,6 @@ class Statistic:
             weights[mask] = weights.get(mask, 0) + w
         return den, const, tuple((m, w) for m, w in weights.items() if w)
 
-    def __call__(self, partition: NCPartition) -> Fraction:
-        return self.evaluate(partition)
-
     def __add__(self, other: "Statistic") -> "Statistic":
         merged = dict(self.terms)
         for key, coeff in other.terms:
@@ -256,11 +254,6 @@ def parse_statistic(spec: str) -> Statistic:
             raise ValueError(f"expected psi:k, got {spec!r}") from None
         return Statistic.psi(k)
     raise ValueError(f"unknown statistic {spec!r}")
-
-
-def eval_statistic(stat: Statistic, partition: NCPartition) -> Fraction:
-    """Evaluate a statistic at one partition, exactly."""
-    return stat.evaluate(partition)
 
 
 def orbit_average(stat: Statistic, orbit: Orbit) -> Fraction:
@@ -417,16 +410,13 @@ def homomesy_report(
 
 
 def check_homomesy(
-    word: ToggleWord,
-    stat: Statistic,
-    limit: int | None = None,
-    expected_mean: Fraction | None = None,
+    word: ToggleWord, stat: Statistic, limit: int | None = None
 ) -> HomomesyReport:
     """Decide whether ``stat`` is homomesic under ``word`` on NC(n)."""
     # orbit_masks runs before compile, so a ceiling error wins over a bad index.
     return homomesy_report(
         word.to_text(), f"NC({word.n})", orbit_masks(word, limit),
-        [(stat.label(), stat.compile(word.n), expected_mean)],
+        [(stat.label(), stat.compile(word.n), None)],
     )
 
 
@@ -435,9 +425,7 @@ def contains_all_short_arcs(word: ToggleWord) -> bool:
     return all((i, i + 1) in support for i in range(1, word.n))
 
 
-def verify_arc_count_theorem(
-    word: ToggleWord, limit: int | None = None
-) -> HomomesyReport:
+def verify_arc_count_theorem(word: ToggleWord) -> HomomesyReport:
     """Check that arc count is (n-1)/2-mesic and block count (n+1)/2-mesic.
 
     The hypotheses — the word is partial Coxeter and contains every short
@@ -456,19 +444,17 @@ def verify_arc_count_theorem(
     precondition = "; ".join(problems) or None
     alpha, beta = Statistic.alpha().compile(n), Statistic.beta().compile(n)
     return homomesy_report(
-        word.to_text(), f"NC({n})", orbit_masks(word, limit),
+        word.to_text(), f"NC({n})", orbit_masks(word),
         [("alpha", alpha, Fraction(n - 1, 2)), ("beta", beta, Fraction(n + 1, 2))],
         precondition,
     )
 
 
-def even_orbits_check(
-    word: ToggleWord, limit: int | None = None
-) -> tuple[bool, Orbit | None]:
+def even_orbits_check(word: ToggleWord) -> tuple[bool, Orbit | None]:
     """For even n: every orbit size should be even; returns a witness if not."""
     if word.n % 2 != 0:
         raise ValueError(f"even-orbit check needs even n, got {word.n}")
-    for masks in orbit_masks(word, limit):
+    for masks in orbit_masks(word):
         if len(masks) % 2 != 0:
             return False, Orbit(tuple(NCPartition._raw(word.n, m) for m in masks))
     return True, None
@@ -492,9 +478,7 @@ def chi_sums_by_orbit(
     return out
 
 
-def chi_sum_conjugation_check(
-    word: ToggleWord, arc: Arc, limit: int | None = None
-) -> bool:
+def chi_sum_conjugation_check(word: ToggleWord, arc: Arc) -> bool:
     """Verify conjugation by a source maps orbits to orbits of equal size
     with identical per-arc indicator sums.
 
@@ -505,8 +489,8 @@ def chi_sum_conjugation_check(
     conjugate = admissible_conjugate(word, tuple(arc))  # raises if not a source
     n = word.n
     k = arc_index(n, tuple(arc))
-    orig = orbit_masks(word, limit)
-    conj = orbit_masks(conjugate, limit)
+    orig = orbit_masks(word)
+    conj = orbit_masks(conjugate)
     conj_by_members = {frozenset(o): idx for idx, o in enumerate(conj)}
     orig_sums = chi_sums_by_orbit(orig, n)
     conj_sums = chi_sums_by_orbit(conj, n)

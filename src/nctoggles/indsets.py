@@ -182,21 +182,20 @@ def _parse_graph_lines(text: str):
 DEFAULT_VERTEX_LIMIT = 24
 
 
-def independent_set_masks(graph: SimpleGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> tuple[int, ...]:
+def independent_set_masks(graph: SimpleGraph) -> tuple[int, ...]:
     """Bitsets of all independent sets, in lexicographic order on sorted
-    index lists (the same canonical order the partition enumeration uses)."""
-    if graph.n_vertices > limit:
+    index lists (the same canonical order the partition enumeration uses).
+    The only check of the vertex ceiling, :data:`DEFAULT_VERTEX_LIMIT`."""
+    if graph.n_vertices > DEFAULT_VERTEX_LIMIT:
         raise GraphSizeError(
-            f"{graph.n_vertices} vertices exceeds the ceiling of {limit}"
+            f"{graph.n_vertices} vertices exceeds the ceiling of {DEFAULT_VERTEX_LIMIT}"
         )
     return independent_sets(graph.adj)
 
 
-def enumerate_independent_sets(
-    graph: SimpleGraph, limit: int = DEFAULT_VERTEX_LIMIT
-) -> list[frozenset]:
+def enumerate_independent_sets(graph: SimpleGraph) -> list[frozenset]:
     """All independent sets of the graph, as frozensets, in canonical order."""
-    return [frozenset(graph._unpack(m)) for m in independent_set_masks(graph, limit)]
+    return [frozenset(graph._unpack(m)) for m in independent_set_masks(graph)]
 
 
 def toggle_vertex(graph: SimpleGraph, current: frozenset, v) -> frozenset:
@@ -243,11 +242,9 @@ def apply_vertex_word(graph: SimpleGraph, word, current: frozenset) -> frozenset
     return frozenset(graph._unpack(mask))
 
 
-def independent_set_orbits(
-    graph: SimpleGraph, word, limit: int = DEFAULT_VERTEX_LIMIT
-) -> list[list[frozenset]]:
+def independent_set_orbits(graph: SimpleGraph, word) -> list[list[frozenset]]:
     """Orbits of a vertex word on the independent sets, canonically ordered."""
-    states = independent_set_masks(graph, limit)
+    states = independent_set_masks(graph)
     step = _vertex_word_stepper(graph, word)
     return [
         [frozenset(graph._unpack(m)) for m in orbit]
@@ -276,13 +273,11 @@ class CliquishCertificate:
         return len(self.u_set)
 
 
-def maximal_independent_sets(
-    graph: SimpleGraph, limit: int = DEFAULT_VERTEX_LIMIT
-) -> list[frozenset]:
+def maximal_independent_sets(graph: SimpleGraph) -> list[frozenset]:
     """Inclusion-maximal independent sets, in canonical enumeration order."""
     out = []
     full = (1 << graph.n_vertices) - 1
-    for mask in independent_set_masks(graph, limit):
+    for mask in independent_set_masks(graph):
         rest = full & ~mask
         maximal = True
         while rest:
@@ -324,11 +319,9 @@ def check_cliquish_with(graph: SimpleGraph, u_set) -> CliquishCertificate | None
     return CliquishCertificate(u_set, cliques, two)
 
 
-def is_2_cliquish(
-    graph: SimpleGraph, limit: int = DEFAULT_VERTEX_LIMIT
-) -> CliquishCertificate | None:
+def is_2_cliquish(graph: SimpleGraph) -> CliquishCertificate | None:
     """Search maximal independent sets for one satisfying both conditions."""
-    for u_set in maximal_independent_sets(graph, limit):
+    for u_set in maximal_independent_sets(graph):
         cert = check_cliquish_with(graph, u_set)
         if cert is not None:
             return cert
@@ -336,10 +329,7 @@ def is_2_cliquish(
 
 
 def verify_cardinality_homomesy(
-    graph: SimpleGraph,
-    cert: CliquishCertificate,
-    word,
-    limit: int = DEFAULT_VERTEX_LIMIT,
+    graph: SimpleGraph, cert: CliquishCertificate, word
 ) -> HomomesyReport:
     """Check that cardinality is |U|/2-mesic under a word containing all of U.
 
@@ -356,7 +346,7 @@ def verify_cardinality_homomesy(
         problems.append(f"word is missing toggles for U members {missing}")
     precondition = "; ".join(problems) or None
 
-    states = independent_set_masks(graph, limit)
+    states = independent_set_masks(graph)
     orbits = orbit_partition(states, _vertex_word_stepper(graph, word))
     full = (1 << graph.n_vertices) - 1
     stats = [("card", (1, 0, ((full, 1),)), Fraction(cert.A, 2))]
@@ -597,7 +587,7 @@ def multigraph_to_skeletal(multigraph: Multigraph) -> tuple[SimpleGraph, frozens
 
 
 def enumerate_2cliquish_from_skeletal(
-    graph: SimpleGraph, u_set, max_addable: int = 16
+    graph: SimpleGraph, u_set
 ) -> list[SimpleGraph]:
     """All 2-cliquish graphs over a skeletal pair, up to isomorphism.
 
@@ -611,10 +601,8 @@ def enumerate_2cliquish_from_skeletal(
     addable = [
         (v, w) for v, w in combinations(others, 2) if not graph.has_edge(v, w)
     ]
-    if len(addable) > max_addable:
-        raise GraphSizeError(
-            f"{len(addable)} addable pairs exceeds the ceiling of {max_addable}"
-        )
+    if len(addable) > 16:
+        raise GraphSizeError(f"{len(addable)} addable pairs exceeds the ceiling of 16")
     out: list[SimpleGraph] = []
     for bits in range(1 << len(addable)):
         candidate = graph
@@ -686,13 +674,11 @@ def _count_matrix_isomorphic(a, b) -> bool:
     return extend(0)
 
 
-def graph_isomorphic(
-    g1: SimpleGraph, g2: SimpleGraph, limit: int = ISO_VERTEX_LIMIT
-) -> bool:
+def graph_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:
     """Brute-force isomorphism with degree-sequence pruning (small graphs)."""
-    if g1.n_vertices > limit or g2.n_vertices > limit:
+    if max(g1.n_vertices, g2.n_vertices) > ISO_VERTEX_LIMIT:
         raise GraphSizeError(
-            f"isomorphism search is limited to {limit} vertices per graph"
+            f"isomorphism search is limited to {ISO_VERTEX_LIMIT} vertices per graph"
         )
     if g1.n_vertices != g2.n_vertices or g1.edge_count() != g2.edge_count():
         return False
@@ -702,13 +688,11 @@ def graph_isomorphic(
     )
 
 
-def multigraph_isomorphic(
-    m1: Multigraph, m2: Multigraph, limit: int = ISO_VERTEX_LIMIT
-) -> bool:
+def multigraph_isomorphic(m1: Multigraph, m2: Multigraph) -> bool:
     """Multigraph isomorphism respecting edge multiplicities."""
-    if m1.n_vertices > limit or m2.n_vertices > limit:
+    if max(m1.n_vertices, m2.n_vertices) > ISO_VERTEX_LIMIT:
         raise GraphSizeError(
-            f"isomorphism search is limited to {limit} vertices per graph"
+            f"isomorphism search is limited to {ISO_VERTEX_LIMIT} vertices per graph"
         )
     if m1.n_vertices != m2.n_vertices or m1.n_edges != m2.n_edges:
         return False

@@ -234,8 +234,12 @@ class NCPartition:
         return cls(n)
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> "NCPartition":
-        return block_partition(blocks, n).to_arcs()
+    def from_blocks(
+        cls, blocks: Iterable[Iterable[int]], n: int | None = None
+    ) -> "NCPartition":
+        """The partition with these blocks; n defaults to the largest element."""
+        blocks = [tuple(b) for b in blocks]
+        return BlockPartition(_ground_size(blocks, n), blocks).to_arcs()
 
     def arcs(self) -> tuple[Arc, ...]:
         """The arc set, sorted lexicographically."""
@@ -361,9 +365,6 @@ class BlockPartition:
             for block in self.blocks
             for k in range(len(block) - 1)
         ]
-        bad = validate(self.n, arcs)
-        if bad is not None:
-            raise InvalidPartitionError(bad)
         return NCPartition(self.n, arcs)
 
     def is_noncrossing(self) -> bool:
@@ -389,8 +390,7 @@ class BlockPartition:
             chunk = chunk.strip()
             if chunk:
                 blocks.append(tuple(int(v) for v in chunk.split(",")))
-        size = n if n is not None else max((v for b in blocks for v in b), default=0)
-        return cls(size, blocks)
+        return cls(_ground_size(blocks, n), blocks)
 
     def __eq__(self, other) -> bool:
         return (
@@ -406,11 +406,9 @@ class BlockPartition:
         return f"BlockPartition({self.n}, {[list(b) for b in self.blocks]})"
 
 
-def block_partition(blocks: Iterable[Iterable[int]], n: int | None = None) -> BlockPartition:
-    blocks = [tuple(b) for b in blocks]
-    if n is None:
-        n = max((v for b in blocks for v in b), default=0)
-    return BlockPartition(n, blocks)
+def _ground_size(blocks: list[tuple[int, ...]], n: int | None) -> int:
+    """``n``, or if it is None the largest element of ``blocks`` (0 if none)."""
+    return max((v for b in blocks for v in b), default=0) if n is None else n
 
 
 def arcs_to_blocks(partition: NCPartition) -> BlockPartition:

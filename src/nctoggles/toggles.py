@@ -101,20 +101,20 @@ def _pair_tables(n: int) -> dict[int, array]:
 
 
 def toggle_pairs(
-    n: int, slots: Iterable[int], limit: int | None = None
+    n: int, slots: Iterable[int], states: tuple[int, ...]
 ) -> dict[int, array]:
     """The toggles at arc slots ``slots`` as swaps of NC(n) state indices.
 
-    Indices point into ``enumerate_masks(n, limit)``.  For each slot k, a
-    flat ``array('i')`` of index pairs i, j: state i contains the arc and
-    state j is state i without it.  The toggle swaps each pair and fixes
-    every other state, so a word acts on indices by swapping along these
-    lists.  An arc of length m gives C(n-m) * C(m-1) pairs (see
+    ``states`` is the enumeration of NC(n), which the caller got from
+    :func:`enumerate_masks` and its ceiling check; indices point into it.
+    For each slot k, a flat ``array('i')`` of index pairs i, j: state i
+    contains the arc and state j is state i without it.  The toggle swaps
+    each pair and fixes every other state, so a word acts on indices by
+    swapping along these lists.  An arc of length m gives C(n-m) * C(m-1) pairs (see
     :func:`counts`).  Tables are built once per process (:func:`_pair_tables`)
     and shared by every caller, who must not mutate them; one pass over the
     states builds the requested slots not built yet.
     """
-    states = enumerate_masks(n, limit)
     store = _pair_tables(n)
     wanted = set(slots)
     missing = wanted - store.keys()
@@ -154,15 +154,15 @@ def pair_order(a: Arc, b: Arc, n: int) -> int:
     return 2 if commutes(a, b) else 6
 
 
-def permutation_order(n: int, step, limit: int | None = None) -> int:
+def permutation_order(n: int, step) -> int:
     """Order of a bijection of NC(n) given as a mask-to-mask callable."""
-    return math.lcm(*map(len, orbit_partition(enumerate_masks(n, limit), step)))
+    return math.lcm(*map(len, orbit_partition(enumerate_masks(n), step)))
 
 
-def pair_order_observed(a: Arc, b: Arc, n: int, limit: int | None = None) -> int:
+def pair_order_observed(a: Arc, b: Arc, n: int) -> int:
     """Oracle for :func:`pair_order` via cycle decomposition."""
     step = stepper(conflict_masks(n), [arc_index(n, b), arc_index(n, a)])
-    return permutation_order(n, step, limit)
+    return permutation_order(n, step)
 
 
 def noncommuting_count(n: int, arc: Arc) -> int:
@@ -200,13 +200,13 @@ def counts(n: int, i: int, k: int) -> ToggleCounts:
     return ToggleCounts(containing, containing, catalan(n) - 2 * containing)
 
 
-def counts_observed(n: int, i: int, k: int, limit: int | None = None) -> ToggleCounts:
+def counts_observed(n: int, i: int, k: int) -> ToggleCounts:
     """Brute-force oracle for :func:`counts` by scanning all of NC(n)."""
     slot = arc_index(n, (i, i + k))
     bit = 1 << slot
     conflict = conflict_masks(n)[slot]
     containing = togglable = fixed = 0
-    for mask in enumerate_masks(n, limit):
+    for mask in enumerate_masks(n):
         if mask & bit:
             containing += 1
         elif mask & conflict:

@@ -199,12 +199,12 @@ def sinks(word: ToggleWord) -> frozenset[Arc]:
     return orientation_of(word).sinks()
 
 
-def functionally_equal(w1: ToggleWord, w2: ToggleWord, limit: int | None = None) -> bool:
+def functionally_equal(w1: ToggleWord, w2: ToggleWord) -> bool:
     """True iff the two words agree on every noncrossing partition of [n]."""
     if w1.n != w2.n:
         raise ValueError(f"words on different ground sets: {w1.n} vs {w2.n}")
     s1, s2 = w1.stepper(), w2.stepper()
-    return all(s1(m) == s2(m) for m in enumerate_masks(w1.n, limit))
+    return all(s1(m) == s2(m) for m in enumerate_masks(w1.n))
 
 
 def admissible_conjugate(word: ToggleWord, arc: Arc) -> ToggleWord:
@@ -236,7 +236,7 @@ def admissible_sequence_valid(word: ToggleWord, seq) -> bool:
     return True
 
 
-def torically_equivalent(o1: Orientation, o2: Orientation, max_states: int = 200000) -> bool:
+def torically_equivalent(o1: Orientation, o2: Orientation) -> bool:
     """Whether o2 is reachable from o1 by source-to-sink flips.
 
     This is the forward direction only: reachability implies the induced
@@ -256,7 +256,7 @@ def torically_equivalent(o1: Orientation, o2: Orientation, max_states: int = 200
                 if flipped.edges not in seen:
                     seen.add(flipped.edges)
                     nxt.append(flipped)
-                    if len(seen) > max_states:
+                    if len(seen) > 200_000:
                         raise RuntimeError("toric reachability search too large")
         frontier = nxt
     return False

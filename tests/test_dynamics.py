@@ -9,7 +9,6 @@ from nctoggles.dynamics import (
     Statistic,
     check_homomesy,
     chi_sum_conjugation_check,
-    eval_statistic,
     even_orbits_check,
     orbit_average,
     orbits,
@@ -75,14 +74,14 @@ def test_nc6_coxeter_orbit_sizes():
 )
 def test_psi_2_cases(arcs, expected):
     p = NCPartition(4, arcs)
-    assert eval_statistic(Statistic.psi(2), p) == expected
+    assert Statistic.psi(2).evaluate(p) == expected
 
 
 def test_psi_three_case_characterization():
     for n in range(2, 7):
         for p in enumerate_nc(n):
             for k in range(1, n):
-                value = eval_statistic(Statistic.psi(k), p)
+                value = Statistic.psi(k).evaluate(p)
                 arcs = p.arcs()
                 touching = [
                     a for a in arcs if a[1] == k + 1 or a[0] == k

@@ -1,4 +1,5 @@
-"""Every module-level import in the package and in the tests is used.
+"""Every module-level import in the package and in the tests is used, and
+no name the package re-exports hides one of its modules.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: deleting code
 must not leave its imports behind.  The package's ``__init__.py`` (whose
@@ -51,3 +52,15 @@ def test_every_module_level_import_is_used(path):
 @pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
 def test_every_test_module_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_public_name_hides_a_module():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert exported >= {"orbits", "toggle"}
+    assert exported.isdisjoint(p.stem for p in MODULES)

@@ -1,10 +1,13 @@
 """The swap-list orbit engine against the one-state-at-a-time stepper."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brute
-from nctoggles.dynamics import orbit_masks
+from nctoggles import cli, ncpartition
+from nctoggles.dynamics import Statistic, check_homomesy, orbit_masks
 from nctoggles.ncpartition import (
     EnumerationLimitError,
     NCPartition,
@@ -65,7 +68,7 @@ def test_toggle_pairs_match_bruteforce_toggle():
         states = enumerate_masks(n)
         as_arcs = [frozenset(NCPartition._raw(n, m).arcs()) for m in states]
         arcs = brute.all_arcs(n)
-        tables = toggle_pairs(n, [arc_index(n, a) for a in arcs])
+        tables = toggle_pairs(n, [arc_index(n, a) for a in arcs], states)
         assert sorted(tables) == sorted(arc_index(n, a) for a in arcs)
         for arc in arcs:
             pairs = tables[arc_index(n, arc)]
@@ -79,24 +82,24 @@ def test_toggle_pairs_match_bruteforce_toggle():
 
 
 def test_toggle_pairs_cover_only_requested_slots():
-    tables = toggle_pairs(5, [arc_index(5, (2, 4)), arc_index(5, (2, 4))])
-    assert list(tables) == [arc_index(5, (2, 4))]
-    assert toggle_pairs(5, []) == {}
+    states, slot = enumerate_masks(5), arc_index(5, (2, 4))
+    assert list(toggle_pairs(5, [slot, slot], states)) == [slot]
+    assert toggle_pairs(5, [], states) == {}
 
 
 def test_tables_built_in_steps_equal_a_fresh_build():
     for n in (4, 6, 7):
-        every = list(range(arc_slots(n)))
+        every, states = list(range(arc_slots(n))), enumerate_masks(n)
         _pair_tables.cache_clear()
-        subset = toggle_pairs(n, every[::3])
-        superset = toggle_pairs(n, every[::3] + every[1::3])
-        stepwise = toggle_pairs(n, every)
-        repeat = toggle_pairs(n, every)
+        subset = toggle_pairs(n, every[::3], states)
+        superset = toggle_pairs(n, every[::3] + every[1::3], states)
+        stepwise = toggle_pairs(n, every, states)
+        repeat = toggle_pairs(n, every, states)
         assert all(superset[k] is subset[k] for k in subset)
         assert all(stepwise[k] is superset[k] for k in superset)
         assert all(repeat[k] is stepwise[k] for k in every)
         _pair_tables.cache_clear()
-        fresh = toggle_pairs(n, every)
+        fresh = toggle_pairs(n, every, states)
         assert sorted(stepwise) == sorted(fresh) == every
         for k in every:
             assert stepwise[k] is not fresh[k] and stepwise[k] == fresh[k]
@@ -104,7 +107,7 @@ def test_tables_built_in_steps_equal_a_fresh_build():
 
 def test_orbit_masks_survive_an_enumeration_cache_clear():
     for word in (row_word(6), kreweras_word(7), ToggleWord(7, [(2, 5), (1, 7), (2, 3)])):
-        toggle_pairs(word.n, range(arc_slots(word.n)))
+        toggle_pairs(word.n, range(arc_slots(word.n)), enumerate_masks(word.n))
         _enum_masks_cached.cache_clear()
         assert orbit_masks(word) == stepper_orbits(word)
 
@@ -112,5 +115,19 @@ def test_orbit_masks_survive_an_enumeration_cache_clear():
 def test_toggle_pairs_ceiling_fails_before_caching():
     before = _pair_tables.cache_info()
     with pytest.raises(EnumerationLimitError):
-        toggle_pairs(13, [0], limit=12)
+        orbit_masks(row_word(13), limit=12)
     assert _pair_tables.cache_info() == before
+
+
+def test_an_explicit_ceiling_reaches_the_whole_decomposition(monkeypatch, capsys):
+    # The ceiling is checked once, by orbit_masks; nothing below it may
+    # enumerate again under the default.
+    monkeypatch.setattr(ncpartition, "DEFAULT_ENUM_LIMIT", 5)
+    word = row_word(6)
+    with pytest.raises(EnumerationLimitError):
+        orbit_masks(word)
+    assert sum(map(len, orbit_masks(word, limit=6))) == 132
+    assert check_homomesy(word, Statistic.alpha(), limit=6).mean == Fraction(5, 2)
+    argv = ["orbits", "6", "--max-n", "6", "--sizes-only", "--word", word.to_text()]
+    assert cli.main(argv) == 0
+    assert sum(map(int, capsys.readouterr().out.split())) == 132
