@@ -41,7 +41,6 @@ from .kreweras import (
     simion_ullman,
 )
 from .ncpartition import (
-    DEFAULT_ENUM_LIMIT,
     BlockPartition,
     EnumerationLimitError,
     NCPartition,
@@ -52,7 +51,7 @@ from .ncpartition import (
 )
 from .toggles import toggle
 from .verify import DEFAULT_SEED, DEFAULT_WORDS, run_all
-from .words import ToggleWord, WordParseError
+from .words import ToggleWord
 
 OK, FALSIFIED, PRECONDITION, USAGE = 0, 1, 2, 3
 
@@ -68,7 +67,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _enum_limit(args) -> int:
+def _enum_limit(args) -> int | None:
+    """``--max-n``, else the environment; None leaves ncpartition's default."""
     if getattr(args, "max_n", None) is not None:
         return args.max_n
     env = os.environ.get(ENV_LIMIT)
@@ -77,7 +77,7 @@ def _enum_limit(args) -> int:
             return int(env)
         except ValueError:
             raise _UsageError(f"{ENV_LIMIT} must be an integer, got {env!r}")
-    return DEFAULT_ENUM_LIMIT
+    return None
 
 
 def _emit(args, text_fn, payload: dict) -> None:
@@ -428,18 +428,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except (WordParseError, ValueError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except (EnumerationLimitError, GraphSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
 
 
 if __name__ == "__main__":

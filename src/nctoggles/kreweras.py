@@ -27,9 +27,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
+from . import ncpartition
 from .core import independent_sets
 from .ncpartition import (
-    DEFAULT_ENUM_LIMIT,
     EnumerationLimitError,
     NCPartition,
     _pair_violation,
@@ -134,9 +134,9 @@ def _coarsest_complement(partition: NCPartition, primes_clockwise: bool) -> NCPa
     n = partition.n
     if n <= 1:
         return partition
-    if n > DEFAULT_ENUM_LIMIT:
+    if n > ncpartition.DEFAULT_ENUM_LIMIT:
         # The candidate table holds all C_n partitions of [n].
-        raise EnumerationLimitError(n, DEFAULT_ENUM_LIMIT)
+        raise EnumerationLimitError(n, ncpartition.DEFAULT_ENUM_LIMIT)
     if primes_clockwise:
         plain_pos = lambda i: 2 * i - 1
     else:

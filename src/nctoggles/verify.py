@@ -4,14 +4,21 @@ Each check replays one of the exact combinatorial identities implemented by
 this package at desk scale, with every comparison exact (integer or
 rational).  Checks that sample random words use a seeded generator and
 record the seed in their result, so any falsification is reproducible.
+
+A check is a body decorated with ``@_check(name)`` that returns its PASS
+detail or raises ``CheckFailed(detail)``, listed in ``run_all``.  Build a
+FAIL detail only where it is raised: the hot loops test every state.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+from typing import Callable
 
 from . import dynamics, indsets, ncpartition, toggles, words
 from .dynamics import Statistic
@@ -50,8 +57,26 @@ class CheckResult:
         return f"{status} {self.name} ({self.seconds:.2f}s): {self.detail}"
 
 
-def _result(name: str, start: float, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, passed, detail, time.perf_counter() - start)
+class CheckFailed(Exception):
+    """A check's counterexample; its message is the FAIL detail."""
+
+
+def _check(name: str) -> Callable[[Callable[..., str]], Callable[..., CheckResult]]:
+    """Turn a body returning its PASS detail into a timed check named ``name``."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            start = time.perf_counter()
+            try:
+                passed, detail = True, body(*args, **kwargs)
+            except CheckFailed as failure:
+                passed, detail = False, str(failure)
+            return CheckResult(name, passed, detail, time.perf_counter() - start)
+
+        return check
+
+    return decorate
 
 
 def sample_qualifying_word(rng: random.Random, n: int) -> ToggleWord:
@@ -72,63 +97,46 @@ def sample_coxeter_word(rng: random.Random, n: int) -> ToggleWord:
     return ToggleWord(n, arcs)
 
 
-def check_catalan_counts(n_max: int = 12) -> CheckResult:
-    start = time.perf_counter()
+@_check("catalan_counts")
+def check_catalan_counts(n_max: int = 12) -> str:
     ncpartition._enum_masks_cached.cache_clear()
     for n in range(n_max + 1):
         got = len(enumerate_masks(n, limit=n_max))
         want = catalan(n)
         if got != want:
-            return _result(
-                "catalan_counts", start, False, f"n={n}: {got} != C_{n}={want}"
-            )
-    return _result(
-        "catalan_counts",
-        start,
-        True,
-        f"counts match C_n for n <= {n_max} (C_{n_max} = {catalan(n_max)})",
-    )
+            raise CheckFailed(f"n={n}: {got} != C_{n}={want}")
+    return f"counts match C_n for n <= {n_max} (C_{n_max} = {catalan(n_max)})"
 
 
-def check_nc4_sample_word() -> CheckResult:
-    start = time.perf_counter()
+@_check("nc4_sample_word")
+def check_nc4_sample_word() -> str:
     word = ToggleWord.from_text(4, NC4_SAMPLE_TEXT)
     report = dynamics.check_homomesy(word, Statistic.alpha())
     sizes = sorted(report.orbit_sizes)
     if len(sizes) != 5 or sum(sizes) != 14:
-        return _result(
-            "nc4_sample_word", start, False,
-            f"expected 5 orbits totalling 14, got sizes {sizes}",
-        )
+        raise CheckFailed(f"expected 5 orbits totalling 14, got sizes {sizes}")
     averages = list(report.averages)
     if any(avg != Fraction(3, 2) for avg in averages):
-        return _result(
-            "nc4_sample_word", start, False, f"alpha averages {averages} != 3/2"
-        )
-    return _result(
-        "nc4_sample_word", start, True,
-        f"5 orbits, sizes {sizes}, every alpha average 3/2",
-    )
+        raise CheckFailed(f"alpha averages {averages} != 3/2")
+    return f"5 orbits, sizes {sizes}, every alpha average 3/2"
 
 
-def check_nc6_orbit_sizes() -> CheckResult:
-    start = time.perf_counter()
+@_check("nc6_coxeter_orbit_sizes")
+def check_nc6_orbit_sizes() -> str:
     word = ToggleWord.from_text(6, NC6_COXETER_TEXT)
     sizes = sorted(map(len, dynamics.orbit_masks(word)))
-    ok = sizes == [4, 22, 46, 60]
-    return _result(
-        "nc6_coxeter_orbit_sizes", start, ok,
-        f"orbit sizes {sizes}" + ("" if ok else " != [4, 22, 46, 60]"),
-    )
+    if sizes != [4, 22, 46, 60]:
+        raise CheckFailed(f"orbit sizes {sizes} != [4, 22, 46, 60]")
+    return f"orbit sizes {sizes}"
 
 
+@_check("arc_count_homomesy")
 def check_arc_count_homomesy(
     n_lo: int = 3,
     n_hi: int = 8,
     num_words: int = DEFAULT_WORDS,
     seed: int = DEFAULT_SEED,
-) -> CheckResult:
-    start = time.perf_counter()
+) -> str:
     rng = random.Random(seed)
     checked = 0
     for n in range(n_lo, n_hi + 1):
@@ -137,26 +145,24 @@ def check_arc_count_homomesy(
             report = dynamics.verify_arc_count_theorem(word)
             beta_report = report.sub_reports[0]
             if not (report.holds and beta_report.holds):
-                return _result(
-                    "arc_count_homomesy", start, False,
+                raise CheckFailed(
                     f"seed={seed} n={n} word '{word.to_text()}': "
-                    f"alpha {report.verdict}; beta {beta_report.verdict}",
+                    f"alpha {report.verdict}; beta {beta_report.verdict}"
                 )
             checked += 1
-    return _result(
-        "arc_count_homomesy", start, True,
+    return (
         f"{checked} words (n={n_lo}..{n_hi}, seed={seed}): alpha (n-1)/2-mesic, "
-        f"beta (n+1)/2-mesic",
+        f"beta (n+1)/2-mesic"
     )
 
 
+@_check("psi_balance")
 def check_psi_balance(
     n_lo: int = 3,
     n_hi: int = 8,
     num_words: int = DEFAULT_WORDS,
     seed: int = DEFAULT_SEED,
-) -> CheckResult:
-    start = time.perf_counter()
+) -> str:
     rng = random.Random(seed)
     checked = 0
     for n in range(n_lo, n_hi + 1):
@@ -175,22 +181,20 @@ def check_psi_balance(
                         zeros += value == 0
                         twos += value == 2
                     if total != len(orbit) or zeros != twos:
-                        return _result(
-                            "psi_balance", start, False,
+                        raise CheckFailed(
                             f"seed={seed} n={n} k={k} word '{word.to_text()}': "
                             f"orbit sum {total} over {len(orbit)}, "
-                            f"#zeros {zeros} vs #twos {twos}",
+                            f"#zeros {zeros} vs #twos {twos}"
                         )
             checked += 1
-    return _result(
-        "psi_balance", start, True,
+    return (
         f"{checked} words (n={n_lo}..{n_hi}, seed={seed}): psi_k 1-mesic with "
-        f"balanced 0/2 counts per orbit",
+        f"balanced 0/2 counts per orbit"
     )
 
 
-def check_pair_orders(n_max: int = 6) -> CheckResult:
-    start = time.perf_counter()
+@_check("pair_orders")
+def check_pair_orders(n_max: int = 6) -> str:
     for n in range(2, n_max + 1):
         arcs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
         for a in arcs:
@@ -198,68 +202,42 @@ def check_pair_orders(n_max: int = 6) -> CheckResult:
                 want = toggles.pair_order(a, b, n)
                 got = toggles.pair_order_observed(a, b, n)
                 if want != got:
-                    return _result(
-                        "pair_orders", start, False,
-                        f"n={n} {a},{b}: formula {want}, observed {got}",
-                    )
+                    raise CheckFailed(f"n={n} {a},{b}: formula {want}, observed {got}")
         graph = indsets.base_graph(n)
         for arc in arcs:
             if graph.degree(arc) != toggles.noncommuting_count(n, arc):
-                return _result(
-                    "pair_orders", start, False,
-                    f"n={n} degree({arc}) != m(n+1-m)-2",
-                )
-    return _result(
-        "pair_orders", start, True,
-        f"orders in {{1,2,6}} and degrees m(n+1-m)-2 for n <= {n_max}",
-    )
+                raise CheckFailed(f"n={n} degree({arc}) != m(n+1-m)-2")
+    return f"orders in {{1,2,6}} and degrees m(n+1-m)-2 for n <= {n_max}"
 
 
-def check_arc_containment_counts(n_max: int = 10) -> CheckResult:
-    start = time.perf_counter()
+@_check("arc_containment_counts")
+def check_arc_containment_counts(n_max: int = 10) -> str:
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            symmetric = n + 1 - k
-            if 1 <= symmetric <= n - 1:
-                a = catalan(n - k) * catalan(k - 1)
-                b = catalan(n - symmetric) * catalan(symmetric - 1)
-                if a != b:
-                    return _result(
-                        "arc_containment_counts", start, False,
-                        f"n={n}: formula not symmetric at k={k}",
-                    )
             for i in range(1, n - k + 1):
                 want = toggles.counts(n, i, k)
                 got = toggles.counts_observed(n, i, k)
                 if want != got:
-                    return _result(
-                        "arc_containment_counts", start, False,
-                        f"n={n} arc ({i},{i + k}): formula {want}, observed {got}",
+                    raise CheckFailed(
+                        f"n={n} arc ({i},{i + k}): formula {want}, observed {got}"
                     )
-                if want.fixed != catalan(n) - 2 * want.containing:
-                    return _result(
-                        "arc_containment_counts", start, False,
-                        f"n={n} arc ({i},{i + k}): fixed count inconsistent",
-                    )
-    return _result(
-        "arc_containment_counts", start, True,
+    return (
         f"containing = C(n-k)C(k-1), fixed = C_n - 2 containing, symmetric, "
-        f"for n <= {n_max}",
+        f"for n <= {n_max}"
     )
 
 
-def check_kreweras_agreement(n_max: int = 8) -> CheckResult:
-    start = time.perf_counter()
+@_check("kreweras_agreement")
+def check_kreweras_agreement(n_max: int = 8) -> str:
     for n in range(1, n_max + 1):
         inverse_step = words.kreweras_inverse_word(n).stepper() if n >= 2 else None
         for partition in enumerate_nc(n):
             fast = kreweras_map(partition)
             oracle = kreweras_oracle(partition)
             if fast != oracle:
-                return _result(
-                    "kreweras_agreement", start, False,
+                raise CheckFailed(
                     f"n={n} {partition!r}: word route {fast.arcs()} != "
-                    f"oracle {oracle.arcs()}",
+                    f"oracle {oracle.arcs()}"
                 )
             prime = kreweras_prime(partition)
             prime_oracle = kreweras_prime_oracle(partition)
@@ -269,55 +247,38 @@ def check_kreweras_agreement(n_max: int = 8) -> CheckResult:
                 else partition
             )
             if not (prime == prime_oracle == via_word):
-                return _result(
-                    "kreweras_agreement", start, False,
-                    f"n={n} {partition!r}: relabeled complement disagrees",
+                raise CheckFailed(
+                    f"n={n} {partition!r}: relabeled complement disagrees"
                 )
             if kreweras_map(fast) != rotate(partition, 1):
-                return _result(
-                    "kreweras_agreement", start, False,
-                    f"n={n} {partition!r}: k^2 is not rotation by one",
-                )
-            if n >= 1 and partition.block_count + fast.block_count != n + 1:
-                return _result(
-                    "kreweras_agreement", start, False,
-                    f"n={n} {partition!r}: |pi| + |k(pi)| != n+1",
-                )
+                raise CheckFailed(f"n={n} {partition!r}: k^2 is not rotation by one")
+            if partition.block_count + fast.block_count != n + 1:
+                raise CheckFailed(f"n={n} {partition!r}: |pi| + |k(pi)| != n+1")
             sim = simion_ullman(partition)
             if simion_ullman(sim) != partition:
-                return _result(
-                    "kreweras_agreement", start, False,
-                    f"n={n} {partition!r}: Simion-Ullman map not an involution",
+                raise CheckFailed(
+                    f"n={n} {partition!r}: Simion-Ullman map not an involution"
                 )
             if partition.block_count + sim.block_count != n + 1:
-                return _result(
-                    "kreweras_agreement", start, False,
-                    f"n={n} {partition!r}: |pi| + |lambda(pi)| != n+1",
-                )
-    return _result(
-        "kreweras_agreement", start, True,
+                raise CheckFailed(f"n={n} {partition!r}: |pi| + |lambda(pi)| != n+1")
+    return (
         f"oracle = word route, prime/inverse identities, k^2 = rotation, "
-        f"block-count sums, for n <= {n_max}",
+        f"block-count sums, for n <= {n_max}"
     )
 
 
-def check_row_column_identity(n_max: int = 7) -> CheckResult:
-    start = time.perf_counter()
+@_check("row_column_identity")
+def check_row_column_identity(n_max: int = 7) -> str:
     for n in range(2, n_max + 1):
         if not words.functionally_equal(words.row_word(n), words.column_word(n)):
-            return _result(
-                "row_column_identity", start, False, f"n={n}: words differ"
-            )
-    return _result(
-        "row_column_identity", start, True,
-        f"row and column words equal as permutations for n <= {n_max}",
-    )
+            raise CheckFailed(f"n={n}: words differ")
+    return f"row and column words equal as permutations for n <= {n_max}"
 
 
+@_check("even_orbits")
 def check_even_orbits(
     ns=(4, 6, 8), num_words: int = DEFAULT_WORDS, seed: int = DEFAULT_SEED
-) -> CheckResult:
-    start = time.perf_counter()
+) -> str:
     rng = random.Random(seed)
     checked = 0
     for n in ns:
@@ -325,31 +286,26 @@ def check_even_orbits(
             word = sample_qualifying_word(rng, n)
             all_even, witness = dynamics.even_orbits_check(word)
             if not all_even:
-                return _result(
-                    "even_orbits", start, False,
+                raise CheckFailed(
                     f"seed={seed} n={n} word '{word.to_text()}': odd orbit of "
-                    f"size {witness.size}",
+                    f"size {witness.size}"
                 )
             checked += 1
-    return _result(
-        "even_orbits", start, True,
-        f"{checked} words (n in {tuple(ns)}, seed={seed}): all orbit sizes even",
-    )
+    return f"{checked} words (n in {tuple(ns)}, seed={seed}): all orbit sizes even"
 
 
-def check_chi13_negative_control() -> CheckResult:
-    start = time.perf_counter()
+@_check("chi13_negative_control")
+def check_chi13_negative_control() -> str:
     word = ToggleWord.from_text(3, "1,3 2,3 1,2")
     report = dynamics.check_homomesy(word, Statistic.chi(1, 3))
-    ok = (
-        not report.homomesic
-        and report.counterexample is not None
-        and len(report.orbit_sizes) == 2
-    )
-    return _result(
-        "chi13_negative_control", start, ok,
-        f"chi:1,3 verdict: {report.verdict}",
-    )
+    detail = f"chi:1,3 verdict: {report.verdict}"
+    if (
+        report.homomesic
+        or report.counterexample is None
+        or len(report.orbit_sizes) != 2
+    ):
+        raise CheckFailed(detail)
+    return detail
 
 
 def _check_gamma_equivalence(n: int) -> str | None:
@@ -380,14 +336,14 @@ def _check_gamma_equivalence(n: int) -> str | None:
     return None
 
 
+@_check("independent_set_generalization")
 def check_independent_set_generalization(
     n_max: int = 6, num_words: int = 20, seed: int = DEFAULT_SEED
-) -> CheckResult:
-    start = time.perf_counter()
+) -> str:
     for n in range(2, n_max + 1):
         problem = _check_gamma_equivalence(n)
         if problem:
-            return _result("independent_set_generalization", start, False, problem)
+            raise CheckFailed(problem)
 
     rng = random.Random(seed)
     k4me, u_k4me = indsets.complete_minus_edge(4)
@@ -401,15 +357,11 @@ def check_independent_set_generalization(
     ):
         cert = indsets.check_cliquish_with(graph, u_set)
         if cert is None:
-            return _result(
-                "independent_set_generalization", start, False,
-                f"{label}: expected 2-cliquish certificate for U={sorted(map(str, u_set))}",
+            raise CheckFailed(
+                f"{label}: expected 2-cliquish certificate for U={sorted(map(str, u_set))}"
             )
         if indsets.is_2_cliquish(graph) is None:
-            return _result(
-                "independent_set_generalization", start, False,
-                f"{label}: search found no certificate",
-            )
+            raise CheckFailed(f"{label}: search found no certificate")
         for _ in range(num_words):
             others = [v for v in graph.vertices if v not in u_set]
             extra = [v for v in others if rng.random() < 0.5]
@@ -417,26 +369,17 @@ def check_independent_set_generalization(
             rng.shuffle(word)
             report = indsets.verify_cardinality_homomesy(graph, cert, word)
             if not report.holds:
-                return _result(
-                    "independent_set_generalization", start, False,
-                    f"{label} seed={seed}: card verdict {report.verdict}",
-                )
+                raise CheckFailed(f"{label} seed={seed}: card verdict {report.verdict}")
             if any(not sub.holds for sub in report.sub_reports):
-                return _result(
-                    "independent_set_generalization", start, False,
-                    f"{label} seed={seed}: some psi_u not 1-mesic",
-                )
-    return _result(
-        "independent_set_generalization", start, True,
+                raise CheckFailed(f"{label} seed={seed}: some psi_u not 1-mesic")
+    return (
         f"base-graph equivalence for n <= {n_max}; K4-e, pendant-doubled, and "
-        f"triangled C6 all |U|/2-mesic ({num_words} words each, seed={seed})",
+        f"triangled C6 all |U|/2-mesic ({num_words} words each, seed={seed})"
     )
 
 
 def enumerate_multigraphs(total_max: int):
     """All labeled loopless multigraphs with |V| + |E| <= total_max."""
-    from itertools import combinations, combinations_with_replacement
-
     out = []
     for p in range(1, total_max + 1):
         vertices = list(range(1, p + 1))
@@ -447,28 +390,19 @@ def enumerate_multigraphs(total_max: int):
     return out
 
 
-def check_skeletal_bijection(total_max: int = 7) -> CheckResult:
-    start = time.perf_counter()
+@_check("skeletal_multigraph_bijection")
+def check_skeletal_bijection(total_max: int = 7) -> str:
     count = 0
     for m in enumerate_multigraphs(total_max):
         graph, u_set = indsets.multigraph_to_skeletal(m)
         if graph.n_vertices != m.n_vertices + m.n_edges:
-            return _result(
-                "skeletal_multigraph_bijection", start, False,
-                f"{m!r}: vertex count {graph.n_vertices} != |V|+|E|",
-            )
+            raise CheckFailed(f"{m!r}: vertex count {graph.n_vertices} != |V|+|E|")
         cert = indsets.check_cliquish_with(graph, u_set)
         if cert is None or not indsets.is_skeletal(graph, u_set):
-            return _result(
-                "skeletal_multigraph_bijection", start, False,
-                f"{m!r}: image is not a skeletal 2-cliquish pair",
-            )
+            raise CheckFailed(f"{m!r}: image is not a skeletal 2-cliquish pair")
         back = indsets.skeletal_to_multigraph(graph, u_set)
         if not indsets.multigraph_isomorphic(m, back):
-            return _result(
-                "skeletal_multigraph_bijection", start, False,
-                f"{m!r}: roundtrip produced non-isomorphic {back!r}",
-            )
+            raise CheckFailed(f"{m!r}: roundtrip produced non-isomorphic {back!r}")
         count += 1
 
     # Pinned instance: multigraph on A..E with a doubled AB edge, BC, CD,
@@ -480,10 +414,7 @@ def check_skeletal_bijection(total_max: int = 7) -> CheckResult:
     if graph.n_vertices != 9 or not indsets.multigraph_isomorphic(
         fig, indsets.skeletal_to_multigraph(graph, u_set)
     ):
-        return _result(
-            "skeletal_multigraph_bijection", start, False,
-            "pinned 9-vertex instance failed",
-        )
+        raise CheckFailed("pinned 9-vertex instance failed")
 
     # Pinned augmentation counts: a 4-cycle with chord and apex, plus a
     # 3-path, has two addable pairs: 4 labeled completions, 3 unlabeled.
@@ -496,21 +427,19 @@ def check_skeletal_bijection(total_max: int = 7) -> CheckResult:
     labeled = indsets.count_labeled_augmentations(skel, u_set)
     unlabeled = len(indsets.enumerate_2cliquish_from_skeletal(skel, u_set))
     if (labeled, unlabeled) != (4, 3):
-        return _result(
-            "skeletal_multigraph_bijection", start, False,
-            f"pinned augmentation counts ({labeled}, {unlabeled}) != (4, 3)",
+        raise CheckFailed(
+            f"pinned augmentation counts ({labeled}, {unlabeled}) != (4, 3)"
         )
-    return _result(
-        "skeletal_multigraph_bijection", start, True,
+    return (
         f"{count} multigraphs with |V|+|E| <= {total_max} roundtrip; pinned "
-        f"instances match",
+        f"instances match"
     )
 
 
+@_check("chi_sum_conjugation")
 def check_chi_sum_conjugation(
     n_max: int = 5, num_words: int = 20, seed: int = DEFAULT_SEED
-) -> CheckResult:
-    start = time.perf_counter()
+) -> str:
     rng = random.Random(seed)
     checked = 0
     for n in range(2, n_max + 1):
@@ -518,16 +447,14 @@ def check_chi_sum_conjugation(
             word = sample_coxeter_word(rng, n)
             for source in sorted(words.sources(word)):
                 if not dynamics.chi_sum_conjugation_check(word, source):
-                    return _result(
-                        "chi_sum_conjugation", start, False,
+                    raise CheckFailed(
                         f"seed={seed} n={n} word '{word.to_text()}' source "
-                        f"{source}: per-orbit chi sums not preserved",
+                        f"{source}: per-orbit chi sums not preserved"
                     )
                 checked += 1
-    return _result(
-        "chi_sum_conjugation", start, True,
+    return (
         f"{checked} single-source conjugations (n <= {n_max}, seed={seed}) "
-        f"preserve orbit sizes and chi sums",
+        f"preserve orbit sizes and chi sums"
     )
 
 
@@ -537,7 +464,8 @@ def _run_check(name: str, check) -> CheckResult:
     try:
         return check()
     except Exception as exc:
-        return _result(name, start, False, f"{type(exc).__name__}: {exc}")
+        detail = f"{type(exc).__name__}: {exc}"
+        return CheckResult(name, False, detail, time.perf_counter() - start)
 
 
 def run_all(

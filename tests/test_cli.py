@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nctoggles import __version__, cli
+from nctoggles import __version__, cli, ncpartition
 from nctoggles.indsets import Multigraph, multigraph_to_skeletal
 from nctoggles.verify import NC6_COXETER_TEXT
 
@@ -53,6 +53,16 @@ def test_enumerate_env_ceiling(capsys, monkeypatch):
     assert code == 2 and "5" in err
     code, out, _ = run(capsys, "enumerate", "6", "--max-n", "6", "--count-only")
     assert code == 0 and out.strip() == "132"
+
+
+@pytest.mark.parametrize(
+    "argv", [("enumerate", "6", "--count-only"), ("kreweras", "6", "--oracle")]
+)
+def test_the_default_ceiling_is_read_from_ncpartition(capsys, monkeypatch, argv):
+    monkeypatch.setattr(ncpartition, "DEFAULT_ENUM_LIMIT", 5)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "n=6 exceeds the enumeration ceiling of 5" in err
 
 
 def test_toggle_single_arc(capsys):

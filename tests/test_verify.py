@@ -63,3 +63,47 @@ def test_kreweras_oracle_catches_a_broken_conflict_table(arcs_12_and_34_conflict
     assert not result.passed
     assert result.detail.startswith("n=4 ")
     assert "!= oracle ((1, 2), (2, 3), (3, 4))" in result.detail
+
+
+#: ``run_all(max_n=5, num_words=3)`` with (1,2) and (3,4) made to conflict:
+#: eleven checks fail, each on its first counterexample.
+BROKEN_TABLE_RESULTS = [
+    ("catalan_counts", False, "n=4: 12 != C_4=14"),
+    ("nc4_sample_word", False,
+     "expected 5 orbits totalling 14, got sizes [2, 2, 4, 4]"),
+    ("nc6_coxeter_orbit_sizes", False,
+     "orbit sizes [3, 5, 6, 10, 12, 14, 68] != [4, 22, 46, 60]"),
+    ("arc_count_homomesy", False,
+     "seed=2026 n=4 word '1,2 2,4 2,3 3,4': alpha not homomesic: orbit 0 "
+     "averages 4/3, orbit 1 averages 6/5; beta not homomesic: orbit 0 "
+     "averages 8/3, orbit 1 averages 14/5"),
+    ("psi_balance", False,
+     "seed=2026 n=4 k=1 word '1,2 2,4 2,3 3,4': orbit sum 3 over 2, "
+     "#zeros 0 vs #twos 1"),
+    ("pair_orders", False, "n=4 (1, 2),(3, 4): formula 2, observed 6"),
+    ("arc_containment_counts", False,
+     "n=4 arc (1,2): formula ToggleCounts(containing=5, togglable=5, "
+     "fixed=4), observed ToggleCounts(containing=3, togglable=3, fixed=6)"),
+    ("kreweras_agreement", False,
+     "n=4 NCPartition(4, []): word route ((2, 3), (3, 4)) != oracle "
+     "((1, 2), (2, 3), (3, 4))"),
+    ("row_column_identity", True,
+     "row and column words equal as permutations for n <= 5"),
+    ("even_orbits", False,
+     "seed=2026 n=4 word '1,2 1,3 2,3 3,4': odd orbit of size 5"),
+    ("chi13_negative_control", True,
+     "chi:1,3 verdict: not homomesic: orbit 0 averages 1/3, orbit 1 "
+     "averages 0"),
+    ("independent_set_generalization", False,
+     "n=4: independent sets of the base graph differ from NC(n)"),
+    ("skeletal_multigraph_bijection", True,
+     "23 multigraphs with |V|+|E| <= 5 roundtrip; pinned instances match"),
+    ("chi_sum_conjugation", False,
+     "seed=2026 n=4 word '1,4 2,3 2,4 1,2 1,3 3,4' source (3, 4): per-orbit "
+     "chi sums not preserved"),
+]
+
+
+def test_every_fail_detail_under_a_broken_conflict_table(arcs_12_and_34_conflict):
+    results = verify.run_all(max_n=5, num_words=3)
+    assert [(r.name, r.passed, r.detail) for r in results] == BROKEN_TABLE_RESULTS
