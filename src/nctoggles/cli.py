@@ -5,9 +5,10 @@ Exit codes: 0 = verified / holds, 1 = falsified / counterexample found,
 parse error.  JSON output is byte-identical across identical invocations
 and embeds the invocation config, tool version, and seed.
 
-The enumeration ceiling defaults to 15 and can be raised per invocation
-with ``--max-n`` or globally with the NCTOGGLES_MAX_ENUM environment
-variable.
+The enumeration ceiling defaults to 15.  The commands that enumerate
+NC(n) read it: ``enumerate``, ``orbits``, ``homomesy`` and
+``kreweras --oracle``.  They take ``--max-n`` per invocation, else the
+NCTOGGLES_MAX_ENUM environment variable.
 """
 
 from __future__ import annotations
@@ -199,13 +200,19 @@ def _cmd_kreweras(args) -> int:
         result = simion_ullman(partition)
         label = "simion-ullman"
     elif args.prime:
-        result = (kreweras_prime_oracle if args.oracle else kreweras_prime)(partition)
+        if args.oracle:
+            result = kreweras_prime_oracle(partition, _enum_limit(args))
+        else:
+            result = kreweras_prime(partition)
         label = "prime"
     elif args.power is not None:
         result = kreweras_power(partition, args.power)
         label = f"power {args.power}"
     else:
-        result = (kreweras_oracle if args.oracle else kreweras)(partition)
+        if args.oracle:
+            result = kreweras_oracle(partition, _enum_limit(args))
+        else:
+            result = kreweras(partition)
         label = "complement"
 
     payload = {
@@ -368,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arc")
     p.add_argument("--word")
     p.add_argument("--word-file")
-    common(p)
+    common(p, with_max_n=False)
     p.set_defaults(func=_cmd_toggle)
 
     p = sub.add_parser("orbits", help="orbit decomposition of a toggle word")
@@ -410,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?")
     p.add_argument("--from-skeletal")
     p.add_argument("--uset", help="pin the independent set U (space-separated labels)")
-    common(p)
+    common(p, with_max_n=False)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("verify-all", help="run the full verification suite")

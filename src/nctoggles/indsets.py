@@ -33,6 +33,26 @@ class GraphSizeError(RuntimeError):
     """An operation exceeded its vertex-count ceiling."""
 
 
+def _index_labels(vertices, edges, where=""):
+    """The labels deduplicated in first-seen order, their index, and the
+    edges as a list, each checked to be loop-free between declared labels."""
+    seen = tuple(dict.fromkeys(vertices))
+    index = {v: k for k, v in enumerate(seen)}
+    edges = list(edges)
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at {u!r} not allowed{where}")
+        if u not in index or v not in index:
+            raise ValueError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
+    return seen, index, edges
+
+
+def _graph_text(vertices, edges) -> str:
+    lines = ["vertices: " + " ".join(str(v) for v in vertices)]
+    lines += [f"{u} {v}" for u, v in edges]
+    return "\n".join(lines)
+
+
 class SimpleGraph:
     """An immutable loop-free simple graph with ordered, hashable labels.
 
@@ -43,20 +63,12 @@ class SimpleGraph:
     __slots__ = ("vertices", "_index", "adj")
 
     def __init__(self, vertices, edges=()):
-        seen = []
-        for v in vertices:
-            if v not in seen:
-                seen.append(v)
-        index = {v: k for k, v in enumerate(seen)}
+        seen, index, edges = _index_labels(vertices, edges, " in a simple graph")
         adj = [0] * len(seen)
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at {u!r} not allowed in a simple graph")
-            if u not in index or v not in index:
-                raise ValueError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
             adj[index[u]] |= 1 << index[v]
             adj[index[v]] |= 1 << index[u]
-        object.__setattr__(self, "vertices", tuple(seen))
+        object.__setattr__(self, "vertices", seen)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "adj", tuple(adj))
 
@@ -83,14 +95,11 @@ class SimpleGraph:
         return self.adj[self.index_of(v)].bit_count()
 
     def edges(self) -> list[tuple]:
-        out = []
-        for k, v in enumerate(self.vertices):
-            rest = self.adj[k] >> (k + 1) << (k + 1)
-            while rest:
-                low = rest & -rest
-                out.append((v, self.vertices[low.bit_length() - 1]))
-                rest ^= low
-        return out
+        return [
+            (v, w)
+            for k, v in enumerate(self.vertices)
+            for w in self._unpack(self.adj[k] >> (k + 1) << (k + 1))
+        ]
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
@@ -122,9 +131,7 @@ class SimpleGraph:
         return all(self.has_edge(a, b) for a, b in combinations(labels, 2))
 
     def to_text(self) -> str:
-        lines = ["vertices: " + " ".join(str(v) for v in self.vertices)]
-        lines += [f"{u} {v}" for u, v in self.edges()]
-        return "\n".join(lines)
+        return _graph_text(self.vertices, self.edges())
 
     @classmethod
     def from_text(cls, text: str) -> "SimpleGraph":
@@ -134,47 +141,34 @@ class SimpleGraph:
         vertices, edges = _parse_graph_lines(text)
         return cls(vertices, edges)
 
+    def _key(self) -> tuple:
+        return frozenset(self.vertices), frozenset(map(frozenset, self.edges()))
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimpleGraph)
-            and set(self.vertices) == set(other.vertices)
-            and {frozenset(e) for e in self.edges()}
-            == {frozenset(e) for e in other.edges()}
-        )
+        return isinstance(other, SimpleGraph) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                frozenset(self.vertices),
-                frozenset(frozenset(e) for e in self.edges()),
-            )
-        )
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"SimpleGraph({list(self.vertices)}, {self.edges()})"
 
 
 def _parse_graph_lines(text: str):
+    # Labels are listed as met; the graph constructors deduplicate them.
     vertices: list = []
     edges: list = []
-
-    def declare(v):
-        if v not in vertices:
-            vertices.append(v)
-
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("vertices:"):
-            for tok in line[len("vertices:"):].split():
-                declare(tok)
+            vertices += line[len("vertices:"):].split()
             continue
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"cannot parse graph line {raw!r}")
-        declare(parts[0])
-        declare(parts[1])
+        vertices += parts
         edges.append((parts[0], parts[1]))
     return vertices, edges
 
@@ -295,12 +289,10 @@ def check_cliquish_with(graph: SimpleGraph, u_set) -> CliquishCertificate | None
     """Certify the 2-cliquish conditions for one pinned candidate U."""
     u_set = frozenset(u_set)
     u_mask = graph._pack(u_set)
-    # U must be independent and inclusion-maximal.
+    # U must be independent.  Maximality needs no check of its own: the
+    # exactly-two-U-neighbours test below rejects any vertex with none.
     for u in u_set:
         if graph.adj[graph.index_of(u)] & u_mask:
-            return None
-    for v in graph.vertices:
-        if v not in u_set and not graph.adj[graph.index_of(v)] & u_mask:
             return None
     cliques = {}
     for u in u_set:
@@ -416,12 +408,16 @@ def disjoint_union(
     return SimpleGraph(vertices, edges), u_set
 
 
-def add_edge(graph: SimpleGraph, u_set, edge) -> SimpleGraph:
-    """Add an edge between non-adjacent vertices outside U (stays 2-cliquish)."""
+def _endpoints_outside(u_set: frozenset, edge) -> tuple:
     v, w = edge
-    u_set = frozenset(u_set)
     if v in u_set or w in u_set:
         raise ValueError(f"edge endpoints must avoid U; got ({v!r}, {w!r})")
+    return v, w
+
+
+def add_edge(graph: SimpleGraph, u_set, edge) -> SimpleGraph:
+    """Add an edge between non-adjacent vertices outside U (stays 2-cliquish)."""
+    v, w = _endpoints_outside(frozenset(u_set), edge)
     if graph.has_edge(v, w):
         raise ValueError(f"edge ({v!r}, {w!r}) already present")
     return graph.with_edge(v, w)
@@ -434,10 +430,8 @@ def _common_u_neighbor(graph: SimpleGraph, u_mask: int, v, w) -> bool:
 
 def remove_edge(graph: SimpleGraph, u_set, edge) -> SimpleGraph:
     """Remove an edge between non-U vertices with no common U-neighbor."""
-    v, w = edge
     u_set = frozenset(u_set)
-    if v in u_set or w in u_set:
-        raise ValueError(f"edge endpoints must avoid U; got ({v!r}, {w!r})")
+    v, w = _endpoints_outside(u_set, edge)
     if not graph.has_edge(v, w):
         raise ValueError(f"edge ({v!r}, {w!r}) not present")
     if _common_u_neighbor(graph, graph._pack(u_set), v, w):
@@ -476,17 +470,13 @@ def skeletalize(graph: SimpleGraph, u_set) -> SimpleGraph:
     """Remove removable edges until none remain; idempotent.
 
     Removability between two non-U vertices depends only on their
-    U-adjacencies, which removals never touch, so any removal order reaches
-    the same graph.
+    U-adjacencies, which removals never touch, so every edge removable now
+    stays removable and no other becomes so: one pass removes them all.
     """
     _require_cliquish(graph, u_set)
-    u_set = frozenset(u_set)
-    current = graph
-    while True:
-        removable = _removable_edges(current, u_set)
-        if not removable:
-            return current
-        current = current.without_edge(*removable[0])
+    removable = set(_removable_edges(graph, frozenset(u_set)))
+    kept = [e for e in graph.edges() if e not in removable]
+    return SimpleGraph(graph.vertices, kept)
 
 
 class Multigraph:
@@ -495,20 +485,10 @@ class Multigraph:
     __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices, edges=()):
-        seen = []
-        for v in vertices:
-            if v not in seen:
-                seen.append(v)
-        index = {v: k for k, v in enumerate(seen)}
-        normalized = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at {u!r} not allowed")
-            if u not in index or v not in index:
-                raise ValueError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
-            normalized.append((u, v) if index[u] < index[v] else (v, u))
+        seen, index, edges = _index_labels(vertices, edges)
+        normalized = [(u, v) if index[u] < index[v] else (v, u) for u, v in edges]
         normalized.sort(key=lambda e: (index[e[0]], index[e[1]]))
-        object.__setattr__(self, "vertices", tuple(seen))
+        object.__setattr__(self, "vertices", seen)
         object.__setattr__(self, "edges", tuple(normalized))
 
     def __setattr__(self, name, value):
@@ -526,29 +506,22 @@ class Multigraph:
         return sum((u == v) + (w == v) for u, w in self.edges)
 
     def to_text(self) -> str:
-        lines = ["vertices: " + " ".join(str(v) for v in self.vertices)]
-        lines += [f"{u} {v}" for u, v in self.edges]
-        return "\n".join(lines)
+        return _graph_text(self.vertices, self.edges)
 
     @classmethod
     def from_text(cls, text: str) -> "Multigraph":
         vertices, edges = _parse_graph_lines(text)
         return cls(vertices, edges)
 
+    def _key(self) -> tuple:
+        edges = sorted(tuple(sorted(e, key=str)) for e in self.edges)
+        return frozenset(self.vertices), tuple(edges)
+
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Multigraph):
-            return False
-        mine = sorted(tuple(sorted(e, key=str)) for e in self.edges)
-        theirs = sorted(tuple(sorted(e, key=str)) for e in other.edges)
-        return set(self.vertices) == set(other.vertices) and mine == theirs
+        return isinstance(other, Multigraph) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                frozenset(self.vertices),
-                tuple(sorted(tuple(sorted(e, key=str)) for e in self.edges)),
-            )
-        )
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Multigraph({list(self.vertices)}, {list(self.edges)})"
@@ -597,32 +570,29 @@ def enumerate_2cliquish_from_skeletal(
     """
     u_set = frozenset(u_set)
     _require_cliquish(graph, u_set)
-    others = [v for v in graph.vertices if v not in u_set]
-    addable = [
-        (v, w) for v, w in combinations(others, 2) if not graph.has_edge(v, w)
-    ]
+    addable = _addable_pairs(graph, u_set)
     if len(addable) > 16:
         raise GraphSizeError(f"{len(addable)} addable pairs exceeds the ceiling of 16")
+    edges = graph.edges()
     out: list[SimpleGraph] = []
     for bits in range(1 << len(addable)):
-        candidate = graph
-        for k, pair in enumerate(addable):
-            if bits >> k & 1:
-                candidate = candidate.with_edge(*pair)
+        added = [pair for k, pair in enumerate(addable) if bits >> k & 1]
+        candidate = SimpleGraph(graph.vertices, edges + added)
         if not any(graph_isomorphic(candidate, kept) for kept in out):
             out.append(candidate)
     return out
 
 
+def _addable_pairs(graph: SimpleGraph, u_set: frozenset) -> list[tuple]:
+    """Non-adjacent pairs of vertices outside U, in canonical order."""
+    others = [v for v in graph.vertices if v not in u_set]
+    return [(v, w) for v, w in combinations(others, 2) if not graph.has_edge(v, w)]
+
+
 def count_labeled_augmentations(graph: SimpleGraph, u_set) -> int:
     """Number of labeled 2-cliquish graphs over a skeletal pair (subsets of
     the addable pairs)."""
-    u_set = frozenset(u_set)
-    others = [v for v in graph.vertices if v not in u_set]
-    addable = sum(
-        1 for v, w in combinations(others, 2) if not graph.has_edge(v, w)
-    )
-    return 1 << addable
+    return 1 << len(_addable_pairs(graph, frozenset(u_set)))
 
 
 # --- brute-force isomorphism --------------------------------------------------
@@ -674,32 +644,26 @@ def _count_matrix_isomorphic(a, b) -> bool:
     return extend(0)
 
 
-def graph_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:
-    """Brute-force isomorphism with degree-sequence pruning (small graphs)."""
-    if max(g1.n_vertices, g2.n_vertices) > ISO_VERTEX_LIMIT:
+def _isomorphic(vertices1, edges1, vertices2, edges2) -> bool:
+    if max(len(vertices1), len(vertices2)) > ISO_VERTEX_LIMIT:
         raise GraphSizeError(
             f"isomorphism search is limited to {ISO_VERTEX_LIMIT} vertices per graph"
         )
-    if g1.n_vertices != g2.n_vertices or g1.edge_count() != g2.edge_count():
+    if len(vertices1) != len(vertices2) or len(edges1) != len(edges2):
         return False
     return _count_matrix_isomorphic(
-        _adjacency_counts(g1.vertices, g1.edges()),
-        _adjacency_counts(g2.vertices, g2.edges()),
+        _adjacency_counts(vertices1, edges1), _adjacency_counts(vertices2, edges2)
     )
+
+
+def graph_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:
+    """Brute-force isomorphism with degree-sequence pruning (small graphs)."""
+    return _isomorphic(g1.vertices, g1.edges(), g2.vertices, g2.edges())
 
 
 def multigraph_isomorphic(m1: Multigraph, m2: Multigraph) -> bool:
     """Multigraph isomorphism respecting edge multiplicities."""
-    if max(m1.n_vertices, m2.n_vertices) > ISO_VERTEX_LIMIT:
-        raise GraphSizeError(
-            f"isomorphism search is limited to {ISO_VERTEX_LIMIT} vertices per graph"
-        )
-    if m1.n_vertices != m2.n_vertices or m1.n_edges != m2.n_edges:
-        return False
-    return _count_matrix_isomorphic(
-        _adjacency_counts(m1.vertices, m1.edges),
-        _adjacency_counts(m2.vertices, m2.edges),
-    )
+    return _isomorphic(m1.vertices, m1.edges, m2.vertices, m2.edges)
 
 
 def base_graph(n: int) -> SimpleGraph:

@@ -27,11 +27,10 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
-from . import ncpartition
 from .core import independent_sets
 from .ncpartition import (
-    EnumerationLimitError,
     NCPartition,
+    _check_enum_limit,
     _pair_violation,
     arc_index,
     arc_slots,
@@ -130,13 +129,14 @@ def _complement_table(n: int, primes_clockwise: bool) -> tuple[tuple[int, int], 
     return tuple(entries)
 
 
-def _coarsest_complement(partition: NCPartition, primes_clockwise: bool) -> NCPartition:
+def _coarsest_complement(
+    partition: NCPartition, primes_clockwise: bool, limit: int | None
+) -> NCPartition:
     n = partition.n
     if n <= 1:
         return partition
-    if n > ncpartition.DEFAULT_ENUM_LIMIT:
-        # The candidate table holds all C_n partitions of [n].
-        raise EnumerationLimitError(n, ncpartition.DEFAULT_ENUM_LIMIT)
+    # The candidate table holds all C_n partitions of [n].
+    _check_enum_limit(n, limit)
     if primes_clockwise:
         plain_pos = lambda i: 2 * i - 1
     else:
@@ -162,14 +162,20 @@ def _coarsest_complement(partition: NCPartition, primes_clockwise: bool) -> NCPa
     return NCPartition._raw(n, best_mask)
 
 
-def kreweras_oracle(partition: NCPartition) -> NCPartition:
-    """Brute-force Kreweras complement (primes clockwise of their labels)."""
-    return _coarsest_complement(partition, primes_clockwise=True)
+def kreweras_oracle(partition: NCPartition, limit: int | None = None) -> NCPartition:
+    """Brute-force Kreweras complement (primes clockwise of their labels).
+
+    ``limit`` is the enumeration ceiling on n, as in ``enumerate_masks``."""
+    return _coarsest_complement(partition, primes_clockwise=True, limit=limit)
 
 
-def kreweras_prime_oracle(partition: NCPartition) -> NCPartition:
-    """Brute-force relabeled complement, built with primes counterclockwise."""
-    return _coarsest_complement(partition, primes_clockwise=False)
+def kreweras_prime_oracle(
+    partition: NCPartition, limit: int | None = None
+) -> NCPartition:
+    """Brute-force relabeled complement, built with primes counterclockwise.
+
+    ``limit`` is the enumeration ceiling on n, as in ``enumerate_masks``."""
+    return _coarsest_complement(partition, primes_clockwise=False, limit=limit)
 
 
 # --- fast route -------------------------------------------------------------

@@ -447,14 +447,20 @@ def _enum_masks_cached(n: int) -> tuple[int, ...]:
     return independent_sets(conflict_masks(n))
 
 
+def _check_enum_limit(n: int, limit: int | None) -> None:
+    """Raise when n exceeds ``limit``, or :data:`DEFAULT_ENUM_LIMIT` when
+    ``limit`` is None (read at call time)."""
+    cap = DEFAULT_ENUM_LIMIT if limit is None else limit
+    if n > cap:
+        raise EnumerationLimitError(n, cap)
+
+
 def enumerate_masks(n: int, limit: int | None = None) -> tuple[int, ...]:
     """All noncrossing-partition bitsets for [n], lexicographically ordered.
 
     The result is cached per n; callers must not mutate it.
     """
-    cap = DEFAULT_ENUM_LIMIT if limit is None else limit
-    if n > cap:
-        raise EnumerationLimitError(n, cap)
+    _check_enum_limit(n, limit)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return _enum_masks_cached(n)

@@ -339,6 +339,36 @@ def test_kreweras_oracle_ceiling_exit_code(capsys, flags):
     assert "n=16 exceeds the enumeration ceiling of 15" in err
 
 
+@pytest.mark.parametrize("route", [[], ["--prime"]])
+def test_kreweras_oracle_reads_max_n_and_the_environment(capsys, monkeypatch, route):
+    monkeypatch.setattr(ncpartition, "DEFAULT_ENUM_LIMIT", 5)
+    monkeypatch.delenv("NCTOGGLES_MAX_ENUM", raising=False)
+    argv = ("kreweras", "6", "--partition", "(1,3) (4,6)", *route)
+    code, word_route, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--oracle")
+    assert (code, out) == (2, "")
+    assert "n=6 exceeds the enumeration ceiling of 5" in err
+    assert run(capsys, *argv, "--oracle", "--max-n", "6") == (0, word_route, "")
+    monkeypatch.setenv("NCTOGGLES_MAX_ENUM", "6")
+    assert run(capsys, *argv, "--oracle") == (0, word_route, "")
+
+
+@pytest.mark.parametrize(
+    "argv", [("toggle", "6", "--arc", "1,2"), ("graph", "check-cliquish", "k4me.txt")]
+)
+def test_max_n_is_not_an_option_where_nothing_reads_it(
+    capsys, monkeypatch, tmp_path, argv
+):
+    (tmp_path / "k4me.txt").write_text(K4ME_TEXT)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--max-n", "1")
+    assert (code, out) == (3, "") and "--max-n" in err
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert "max_n" not in json.loads(out)["config"]
+
+
 def test_kreweras_simion_ullman_involution(capsys):
     code, out, _ = run(
         capsys, "kreweras", "8", "--partition", "(2,4) (4,5) (6,8)",

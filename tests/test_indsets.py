@@ -454,3 +454,32 @@ def test_vertex_word_parsing_and_orbits():
     assert sum(len(o) for o in orbits) == 6
     state = frozenset({1})
     assert apply_vertex_word(K4ME, word, state) in {s for o in orbits for s in o}
+
+
+def skeletalize_one_edge_at_a_time(graph, u_set):
+    """Reference: remove the first removable edge, rescan, repeat."""
+    u_set = frozenset(u_set)
+    current = graph
+    while True:
+        removable = indsets._removable_edges(current, u_set)
+        if not removable:
+            return current
+        current = current.without_edge(*removable[0])
+
+
+def test_one_pass_skeletalize_matches_the_edge_by_edge_reference():
+    seed = 20261018
+    rng = random.Random(seed)
+    # Up to |V| + |E| = 8, so that some skeletal graphs have 2 to 4 addable
+    # pairs and the reference removes edges over several rescans.
+    for m in enumerate_multigraphs(8):
+        skeletal, u_set = multigraph_to_skeletal(m)
+        addable = indsets._addable_pairs(skeletal, u_set)
+        for _ in range(4):
+            added = [pair for pair in addable if rng.random() < 0.5]
+            graph = SimpleGraph(skeletal.vertices, skeletal.edges() + added)
+            fast = skeletalize(graph, u_set)
+            reference = skeletalize_one_edge_at_a_time(graph, u_set)
+            context = f"seed={seed} {m!r} + {added}"
+            assert fast.to_text() == reference.to_text(), context
+            assert fast.to_text() == skeletal.to_text(), context
