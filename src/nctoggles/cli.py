@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import __version__
-from .dynamics import check_homomesy, orbit_masks, orbits, parse_statistic
+from .dynamics import check_homomesy, orbit_sizes, orbits, parse_statistic
 from .indsets import (
     GraphSizeError,
     Multigraph,
@@ -159,7 +159,7 @@ def _cmd_orbits(args) -> int:
     limit = _enum_limit(args)
     payload: dict = {"n": args.n, "word": word.to_text()}
     if args.sizes_only:
-        sizes = sorted(map(len, orbit_masks(word, limit)))
+        sizes = sorted(orbit_sizes(word, limit))
         payload.update(orbit_count=len(sizes), sizes=sizes)
         _emit(args, lambda: " ".join(map(str, sizes)), payload)
         return OK
@@ -256,6 +256,8 @@ def _resolve_uset(graph: SimpleGraph, args):
 
 
 def _cmd_graph(args) -> int:
+    if args.uset is not None and args.action in ("check-cliquish", "from-multigraph"):
+        raise _UsageError(f"--uset does not apply to {args.action}")
     if args.action == "gen":
         if not args.from_skeletal:
             raise _UsageError("gen requires --from-skeletal FILE")

@@ -33,33 +33,95 @@ from .ncpartition import (
     conflict_masks,
     enumerate_masks,
 )
-from .toggles import toggle_pairs
+from .toggles import toggle_pairs, vectorized
 from .words import ToggleWord, admissible_conjugate, is_partial_coxeter
 
 
-def orbit_masks(word: ToggleWord, limit: int | None = None) -> list[list[int]]:
-    """Orbits of a toggle word on NC(n), as lists of partition bitsets.
+def _word_image(word: ToggleWord, limit: int | None):
+    """The word as a permutation of NC(n) state indices: ``(states, image)``
+    with ``image[i]`` the index of word(state i).
 
-    ``limit`` is the enumeration ceiling, checked once here.  The word acts
-    on state indices: each toggle is a list of index swaps
-    (:func:`toggle_pairs`), built once per process and shared by every
-    word on [n].  Orbits come out as :func:`nctoggles.core.cycles` orders
-    them.  ``ToggleWord.stepper`` computes the same map one state at a time
-    and serves as the test oracle.
+    ``limit`` is the enumeration ceiling, checked first.  Each toggle is a
+    table of index swaps (:func:`toggle_pairs`), built once per process and
+    shared by every word on [n].  ``image`` is an ndarray when NC(n) runs on
+    the numpy engine (:func:`vectorized`), else a list.
     """
     n = word.n
     states = enumerate_masks(n, limit)
     slots = [arc_index(n, arc) for arc in word.arcs]
     tables = toggle_pairs(n, slots, states)
-    # Swapping entries i, j of an array holding a map g, for every pair of a
-    # toggle t, leaves it holding g . t.  Going through the word backwards
-    # from the identity therefore ends with image[i] = index of word(state i).
-    image = list(range(len(states)))
-    for k in reversed(slots):
-        pairs = iter(tables[k])
+    swap_pass = _swap_pass_numpy if vectorized(n) else _swap_pass
+    return states, swap_pass(len(states), [tables[k] for k in slots])
+
+
+def _swap_pass(size: int, word_tables: list) -> list[int]:
+    """The image of a word on ``size`` states, given the swap tables of its
+    toggles in application order.
+
+    Swapping entries i, j of an array holding a map g, for every pair of a
+    toggle t, leaves it holding g . t.  Going through the word backwards
+    from the identity therefore ends with image[i] = index of word(state i).
+    """
+    image = list(range(size))
+    for table in reversed(word_tables):
+        pairs = iter(table)
         for i, j in zip(pairs, pairs):
             image[i], image[j] = image[j], image[i]
-    return cycles(states, image)
+    return image
+
+
+def _swap_pass_numpy(size: int, word_tables: list):
+    """:func:`_swap_pass` as one fancy-index swap per toggle."""
+    import numpy as np
+
+    image = np.arange(size, dtype=np.int32)
+    for table in reversed(word_tables):
+        i, j = np.asarray(table).reshape(-1, 2).T
+        image[i], image[j] = image[j], image[i]
+    return image
+
+
+def _cycle_sizes(image) -> list[int]:
+    """The cycle sizes of the permutation ``image`` (an ndarray), in the
+    order of :func:`nctoggles.core.cycles`, with no cycle listed.
+
+    Each index is labelled with the least index on its cycle by pointer
+    doubling: after t rounds ``label[i]`` is the least of the 2**t indices
+    that i reaches first.  A round that changes no label leaves each label
+    its cycle's least index, so counting indices per label gives the sizes
+    in order of least index.
+    """
+    import numpy as np
+
+    label, step = np.arange(len(image), dtype=image.dtype), image
+    while True:
+        wider = np.minimum(label, label[step])
+        if np.array_equal(wider, label):
+            break
+        label, step = wider, step[step]
+    counts = np.bincount(label)
+    return counts[counts > 0].tolist()
+
+
+def orbit_masks(word: ToggleWord, limit: int | None = None) -> list[list[int]]:
+    """Orbits of a toggle word on NC(n), as lists of partition bitsets.
+
+    ``limit`` is the enumeration ceiling, checked once here.  Orbits come
+    out as :func:`nctoggles.core.cycles` orders them, on either engine.
+    ``ToggleWord.stepper`` computes the same map one state at a time and
+    serves as the test oracle.
+    """
+    states, image = _word_image(word, limit)
+    return cycles(states, image if isinstance(image, list) else image.tolist())
+
+
+def orbit_sizes(word: ToggleWord, limit: int | None = None) -> list[int]:
+    """The sizes of :func:`orbit_masks`' orbits, in the same order; the
+    numpy engine lists no orbit (:func:`_cycle_sizes`)."""
+    states, image = _word_image(word, limit)
+    if isinstance(image, list):
+        return list(map(len, cycles(states, image)))
+    return _cycle_sizes(image)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ CASES = {
     "check-skel9": ("check-cliquish", "skel9.txt"),
     "check-loop": ("check-cliquish", "loop.txt"),
     "check-no-file": ("check-cliquish",),
+    "check-k4me-uset": ("check-cliquish", "k4me.txt", "--uset", "3"),
     "skel-k4me": ("skeletalize", "k4me.txt"),
     "skel-k3": ("skeletalize", "k3.txt"),
     "skel-fig10": ("skeletalize", "fig10.txt"),
@@ -55,6 +56,7 @@ CASES = {
     "frommulti-multi": ("from-multigraph", "multi.txt"),
     "frommulti-fig10": ("from-multigraph", "fig10.txt"),
     "frommulti-loop": ("from-multigraph", "loop.txt"),
+    "frommulti-multi-uset": ("from-multigraph", "multi.txt", "--uset", "zz"),
     "gen-k4me": ("gen", "--from-skeletal", "k4me.txt"),
     "gen-k3": ("gen", "--from-skeletal", "k3.txt"),
     "gen-fig10": ("gen", "--from-skeletal", "fig10.txt"),
@@ -115,6 +117,12 @@ GOLDEN = {
         3,
         '',
         'error: check-cliquish requires a graph file\n',
+        None,
+    ),
+    'check-k4me-uset': (
+        3,
+        '',
+        'error: --uset does not apply to check-cliquish\n',
         None,
     ),
     'skel-k4me': (
@@ -241,6 +249,12 @@ GOLDEN = {
         3,
         '',
         "error: loop at 'b' not allowed\n",
+        None,
+    ),
+    'frommulti-multi-uset': (
+        3,
+        '',
+        'error: --uset does not apply to from-multigraph\n',
         None,
     ),
     'gen-k4me': (
