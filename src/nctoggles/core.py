@@ -16,9 +16,9 @@ from typing import Callable, Sequence, TypeVar
 S = TypeVar("S")
 
 
-def independent_sets(adj: Sequence[int]) -> tuple[int, ...]:
+def independent_sets(adj: Sequence[int], within: int | None = None) -> tuple[int, ...]:
     """Every independent set as a bitset, in lexicographic order on sorted
-    vertex lists.
+    vertex lists; with ``within``, only the sets inside that vertex bitset.
 
     The order is a contract: each set comes after the set minus its highest
     vertex, and every set in between extends that one
@@ -36,7 +36,7 @@ def independent_sets(adj: Sequence[int]) -> tuple[int, ...]:
             rest ^= low
             rec(mask | low, rest & ~adj[low.bit_length() - 1])
 
-    rec(0, (1 << len(adj)) - 1)
+    rec(0, (1 << len(adj)) - 1 if within is None else within)
     return tuple(out)
 
 

@@ -88,9 +88,10 @@ def toggle(partition: NCPartition, arc: Arc) -> NCPartition:
     )
 
 
-#: NC(n) with at least this many states (n >= 10) is run on numpy when numpy
+#: NC(n) with at least this many states (n >= 11) is run on numpy when numpy
 #: imports; smaller n, or a process without numpy, runs on lists and arrays.
-VECTOR_MIN_STATES = 2**14
+#: At n = 10 (16,796 states) a cold run does not pay back importing numpy.
+VECTOR_MIN_STATES = 2**15
 
 #: The vectorized table build holds a state in two uint64 lanes.
 _LANE_BITS = 64

@@ -166,20 +166,30 @@ def check_psi_balance(
     rng = random.Random(seed)
     checked = 0
     for n in range(n_lo, n_hi + 1):
+        # psi_k is psi_v of the base graph at the short arc (k, k+1).  It
+        # depends on the state alone, so each k gets one value table per n.
+        conflicts = ncpartition.conflict_masks(n)
+        tables = []
+        for k in range(1, n):
+            s = ncpartition.arc_index(n, (k, k + 1))
+            nbrs = conflicts[s]
+            table = {
+                mask: 2 * (mask >> s & 1) + (mask & nbrs).bit_count()
+                for mask in enumerate_masks(n)
+            }
+            # With every value in {0, 1, 2}, #zeros == #twos exactly when
+            # the orbit sum is |O|; otherwise both are counted.
+            tables.append((k, table.__getitem__, max(table.values()) <= 2))
         for _ in range(num_words):
             word = sample_qualifying_word(rng, n)
             orbit_list = dynamics.orbit_masks(word)
-            for k in range(1, n):
-                # psi_k is psi_v of the base graph at the short arc (k, k+1).
-                s = ncpartition.arc_index(n, (k, k + 1))
-                nbrs = ncpartition.conflict_masks(n)[s]
+            for k, psi, bounded in tables:
                 for orbit in orbit_list:
-                    total = zeros = twos = 0
-                    for mask in orbit:
-                        value = 2 * (mask >> s & 1) + (mask & nbrs).bit_count()
-                        total += value
-                        zeros += value == 0
-                        twos += value == 2
+                    total = sum(map(psi, orbit))
+                    if bounded and total == len(orbit):
+                        continue
+                    values = list(map(psi, orbit))
+                    zeros, twos = values.count(0), values.count(2)
                     if total != len(orbit) or zeros != twos:
                         raise CheckFailed(
                             f"seed={seed} n={n} k={k} word '{word.to_text()}': "

@@ -36,6 +36,32 @@ def all_partitions(n):
     return out
 
 
+def kreweras_complement(n, arcs, primes_clockwise=True):
+    """The coarsest sigma in NC(n) whose primed copy, interleaved with [n] on
+    2n points, crosses no arc of ``arcs``; with primes clockwise of their
+    labels the points are 1, 1', 2, 2', ..., else 1', 1, 2', 2, ...  Raises
+    unless the coarsest one (the most arcs) is unique."""
+    plain, prime = (lambda i: 2 * i - 1, lambda i: 2 * i)
+    if not primes_clockwise:
+        plain, prime = prime, plain
+    mapped = {(plain(i), plain(j)) for i, j in arcs}
+    valid = [
+        sigma
+        for sigma in _partitions_cached(n)
+        if is_valid(mapped | {(prime(i), prime(j)) for i, j in sigma})
+    ]
+    most = max(len(sigma) for sigma in valid)
+    coarsest = [sigma for sigma in valid if len(sigma) == most]
+    if len(coarsest) != 1:
+        raise AssertionError(f"{len(coarsest)} coarsest complements of {sorted(arcs)}")
+    return coarsest[0]
+
+
+@lru_cache(maxsize=None)
+def _partitions_cached(n):
+    return frozenset(all_partitions(n))
+
+
 def toggle(arcs, arc):
     if arc in arcs:
         return arcs - {arc}

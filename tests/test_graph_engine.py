@@ -5,6 +5,7 @@ from itertools import combinations
 from hypothesis import example, given, settings, strategies as st
 
 import brute
+from nctoggles.core import independent_sets
 from nctoggles.indsets import (
     SimpleGraph,
     enumerate_independent_sets,
@@ -52,13 +53,18 @@ def with_examples(test):
 @given(graphs_with_words())
 @with_examples
 def test_independent_set_masks_match_subset_filter(case):
-    vertices, edges, _ = case
+    vertices, edges, word = case
     graph = SimpleGraph(vertices, edges)
     want = [
         sum(1 << vertices.index(v) for v in state)
         for state in brute.graph_independent_sets(vertices, edges)
     ]
     assert list(independent_set_masks(graph)) == want
+    # Restricted to the vertices the word names, in the same order.
+    within = sum(1 << vertices.index(v) for v in set(word))
+    assert list(independent_sets(graph.adj, within)) == [
+        mask for mask in want if not mask & ~within
+    ]
 
 
 @settings(max_examples=150, deadline=None)

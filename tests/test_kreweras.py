@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
 from types import ModuleType
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nctoggles.core import orbit_partition
+import brute
+from nctoggles.core import independent_sets, orbit_partition
 from nctoggles.kreweras import (
+    _violation_masks,
     circular_text,
     eta,
     kreweras,
@@ -17,7 +21,13 @@ from nctoggles.kreweras import (
     rotate,
     simion_ullman,
 )
-from nctoggles.ncpartition import EnumerationLimitError, NCPartition, enumerate_nc
+from nctoggles.ncpartition import (
+    EnumerationLimitError,
+    InvalidPartitionError,
+    NCPartition,
+    arc_index,
+    enumerate_nc,
+)
 from nctoggles.words import apply_word, kreweras_inverse_word, kreweras_word
 
 PI8 = NCPartition(8, [(2, 4), (4, 5), (6, 8)])
@@ -45,6 +55,54 @@ def test_oracle_matches_word_route():
     for n in range(1, 8):
         for p in enumerate_nc(n):
             assert kreweras(p) == kreweras_oracle(p)
+
+
+def test_oracles_match_the_frozenset_brute_force():
+    for n in range(7):
+        for p in enumerate_nc(n):
+            arcs = frozenset(p.arcs())
+            assert frozenset(kreweras_oracle(p).arcs()) == (
+                brute.kreweras_complement(n, arcs)
+            )
+            assert frozenset(kreweras_prime_oracle(p).arcs()) == (
+                brute.kreweras_complement(n, arcs, primes_clockwise=False)
+            )
+
+
+@lru_cache(maxsize=None)
+def full_scan_table(n, primes_clockwise):
+    """Every sigma in NC(n) with the arc slots of [2n] that its primed arcs
+    forbid: the candidate table of the first oracle, which scanned it all."""
+    prime = (lambda i: 2 * i) if primes_clockwise else (lambda i: 2 * i - 1)
+    table2n = _violation_masks(2 * n)
+    entries = []
+    for sigma in independent_sets(_violation_masks(n)):
+        forbidden = 0
+        for i, j in NCPartition._raw(n, sigma).arcs():
+            forbidden |= table2n[arc_index(2 * n, (prime(i), prime(j)))]
+        entries.append((sigma, forbidden))
+    return entries
+
+
+def full_scan_oracle(p, primes_clockwise):
+    n = p.n
+    plain = (lambda i: 2 * i - 1) if primes_clockwise else (lambda i: 2 * i)
+    mapped = sum(1 << arc_index(2 * n, (plain(i), plain(j))) for i, j in p.arcs())
+    valid = [
+        sigma
+        for sigma, forbidden in full_scan_table(n, primes_clockwise)
+        if not mapped & forbidden
+    ]
+    most = max(sigma.bit_count() for sigma in valid)
+    (coarsest,) = [sigma for sigma in valid if sigma.bit_count() == most]
+    return NCPartition._raw(n, coarsest)
+
+
+def test_oracles_match_the_full_candidate_scan():
+    for n in range(2, 9):
+        for p in enumerate_nc(n):
+            assert kreweras_oracle(p) == full_scan_oracle(p, True)
+            assert kreweras_prime_oracle(p) == full_scan_oracle(p, False)
 
 
 def test_cached_stepper_matches_the_word():
@@ -144,6 +202,38 @@ def test_n2_worked_example():
 def test_relabel_requires_bijection():
     with pytest.raises(ValueError):
         relabel(NCPartition(3), lambda i: 1)
+
+
+def block_route_relabel(partition, mapping):
+    """``relabel`` as first written: through blocks and ``from_blocks``."""
+    n = partition.n
+    image = sorted(mapping(v) for v in range(1, n + 1))
+    if image != list(range(1, n + 1)):
+        raise ValueError("mapping is not a bijection of 1..n")
+    blocks = [tuple(sorted(mapping(v) for v in block)) for block in partition.blocks()]
+    return NCPartition.from_blocks(blocks, n)
+
+
+def outcome(relabeling, partition, mapping):
+    try:
+        return relabeling(partition, mapping)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_relabel_matches_the_block_route():
+    rng = random.Random(12)
+    crossings = 0
+    for n in range(8):
+        for p in enumerate_nc(n):
+            images = [rng.sample(range(1, n + 1), n) for _ in range(3)]
+            images += [[1] * n, list(range(2, n + 2))]  # not bijections
+            for image in images:
+                mapping = lambda i: image[i - 1]
+                want = outcome(block_route_relabel, p, mapping)
+                assert outcome(relabel, p, mapping) == want
+                crossings += type(want) is tuple and want[0] is InvalidPartitionError
+    assert crossings > 500
 
 
 @given(st.sampled_from(enumerate_nc(6)), st.integers(min_value=-6, max_value=12))

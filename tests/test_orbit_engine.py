@@ -1,5 +1,5 @@
 """The swap-list orbit engine against the one-state-at-a-time stepper, and
-its numpy engine (n >= 10) against the pure-Python one."""
+its numpy engine (n >= 11) against the pure-Python one."""
 
 import importlib.util
 import subprocess
@@ -29,7 +29,13 @@ from nctoggles.ncpartition import (
     arc_slots,
     enumerate_masks,
 )
-from nctoggles.toggles import _pair_tables, _pairs_numpy, _pairs_python, toggle_pairs
+from nctoggles.toggles import (
+    _pair_tables,
+    _pairs_numpy,
+    _pairs_python,
+    toggle_pairs,
+    vectorized,
+)
 from nctoggles.words import ToggleWord, kreweras_word, row_word
 
 
@@ -237,14 +243,20 @@ from array import array
 from nctoggles import cli
 from nctoggles.toggles import _pair_tables
 code = cli.main(sys.argv[1:])
-assert all(type(t) is array for t in _pair_tables(10).values())
+assert all(type(t) is array for t in _pair_tables(11).values())
 sys.exit(code)
 """
 
 
 @needs_numpy
+def test_numpy_runs_from_n_11():
+    # A cold run at n = 10 does not pay back importing numpy.
+    assert [vectorized(n) for n in (10, 11)] == [False, True]
+
+
+@needs_numpy
 def test_without_numpy_the_output_is_byte_identical(capsys):
-    argv = ["orbits", "10", "--word", row_word(10).to_text(), "--sizes-only",
+    argv = ["orbits", "11", "--word", row_word(11).to_text(), "--sizes-only",
             "--format", "json"]
     assert cli.main(argv) == 0
     assert run_python(FALLBACK, *argv) == capsys.readouterr().out

@@ -33,25 +33,52 @@ def _clear_nc_caches():
     ncpartition._enum_masks_cached.cache_clear()
     toggles._pair_tables.cache_clear()
     kreweras._kreweras_stepper.cache_clear()
-    kreweras._complement_table.cache_clear()
+    kreweras._violation_masks.cache_clear()
+    kreweras._blocked_slots.cache_clear()
 
 
-@pytest.fixture
-def arcs_12_and_34_conflict(monkeypatch):
-    """The fast route's conflict table, broken so that (1,2) and (3,4) clash."""
+def _break_conflict_table(monkeypatch, edit):
+    """Route the fast route's conflict table through ``edit(n, masks)``."""
     real = ncpartition.conflict_masks
 
     def broken(n):
         masks = list(real(n))
-        if n >= 4:
-            a, b = arc_index(n, (1, 2)), arc_index(n, (3, 4))
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
+        edit(n, masks)
         return tuple(masks)
 
     for module in (ncpartition, words, toggles):
         monkeypatch.setattr(module, "conflict_masks", broken)
     _clear_nc_caches()
+
+
+@pytest.fixture
+def arcs_12_and_34_conflict(monkeypatch):
+    """The fast route's conflict table, broken so that (1,2) and (3,4) clash."""
+
+    def edit(n, masks):
+        if n >= 4:
+            a, b = arc_index(n, (1, 2)), arc_index(n, (3, 4))
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+
+    _break_conflict_table(monkeypatch, edit)
+    yield
+    _clear_nc_caches()
+
+
+@pytest.fixture
+def arcs_13_14_15_compatible(monkeypatch):
+    """The fast route's conflict table, broken so that (1,3), (1,4) and (1,5)
+    may share a state."""
+
+    def edit(n, masks):
+        if n >= 5:
+            slots = [arc_index(n, (1, j)) for j in (3, 4, 5)]
+            for a in slots:
+                for b in slots:
+                    masks[a] &= ~(1 << b)
+
+    _break_conflict_table(monkeypatch, edit)
     yield
     _clear_nc_caches()
 
@@ -107,3 +134,15 @@ BROKEN_TABLE_RESULTS = [
 def test_every_fail_detail_under_a_broken_conflict_table(arcs_12_and_34_conflict):
     results = verify.run_all(max_n=5, num_words=3)
     assert [(r.name, r.passed, r.detail) for r in results] == BROKEN_TABLE_RESULTS
+
+
+def test_psi_balance_counts_zeros_and_twos_when_psi_reaches_3(arcs_13_14_15_compatible):
+    # psi_1 at n = 5 counts (1,2) twice and each of (1,3), (1,4), (1,5) once.
+    nbrs = ncpartition.conflict_masks(5)[arc_index(5, (1, 2))]
+    assert max((m & nbrs).bit_count() for m in ncpartition.enumerate_masks(5)) == 3
+    result = verify.check_psi_balance(3, 6, 3)
+    assert (result.passed, result.detail) == (
+        False,
+        "seed=2026 n=5 k=1 word '2,4 1,4 3,4 1,2 2,5 2,3 4,5': orbit sum 8 "
+        "over 6, #zeros 0 vs #twos 2",
+    )
