@@ -195,6 +195,9 @@ def _cmd_homomesy(args) -> int:
 
 
 def _cmd_kreweras(args) -> int:
+    if args.oracle and (args.simion_ullman or args.power is not None):
+        flag = "--simion-ullman" if args.simion_ullman else "--power"
+        raise _UsageError(f"--oracle does not apply to {flag}")
     partition = _parse_partition(args.n, args.partition)
     if args.simion_ullman:
         result = simion_ullman(partition)

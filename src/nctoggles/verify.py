@@ -8,11 +8,17 @@ record the seed in their result, so any falsification is reproducible.
 A check is a body decorated with ``@_check(name)`` that returns its PASS
 detail or raises ``CheckFailed(detail)``, listed in ``run_all``.  Build a
 FAIL detail only where it is raised: the hot loops test every state.
+
+``run_all`` runs its checks in forked worker processes, one per available
+CPU, and in-process where only one CPU is available or the platform has no
+``fork``.  Either way the results come back in list order, and each check's
+seconds are measured where it ran.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -478,6 +484,63 @@ def _run_check(name: str, check) -> CheckResult:
         return CheckResult(name, False, detail, time.perf_counter() - start)
 
 
+#: A forked worker's copy of the ``(name, thunk)`` checks of its ``run_all``.
+#: Fork hands them over as they are: lambdas and test-patched checks cannot
+#: be pickled.
+_inherited: list = []
+
+
+def _inherit(checks: list) -> None:
+    global _inherited
+    _inherited = checks
+
+
+def _run_inherited(index: int) -> CheckResult:
+    return _run_check(*_inherited[index])
+
+
+def _run_forked(checks: list, workers: int) -> list[CheckResult]:
+    """``_run_check`` over ``checks`` in ``workers`` forked processes, in order.
+
+    A worker that dies breaks its pool, and every check still pending there
+    fails with it, so each of those checks reruns alone in a pool of its
+    own.  The one that dies again is a FAIL naming the abnormal exit; the
+    others get their own verdicts.  Every worker is joined before this
+    returns.  A fork pool starts all of its workers before its own manager
+    thread, so a caller without threads of its own forks none.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("fork")
+
+    def run(indices, size: int) -> list:
+        with ProcessPoolExecutor(
+            size, context, initializer=_inherit, initargs=(checks,)
+        ) as pool:
+            futures = [pool.submit(_run_inherited, index) for index in indices]
+        outcomes = []
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    results = run(range(len(checks)), workers)
+    for index, result in enumerate(results):
+        if isinstance(result, BrokenProcessPool):
+            start = time.perf_counter()
+            (result,) = run([index], 1)
+            if isinstance(result, BrokenProcessPool):
+                detail = f"{type(result).__name__}: {result}"
+                seconds = time.perf_counter() - start
+                result = CheckResult(checks[index][0], False, detail, seconds)
+            results[index] = result
+    return results
+
+
 def run_all(
     max_n: int | None = None,
     num_words: int = DEFAULT_WORDS,
@@ -487,7 +550,11 @@ def run_all(
 
     Fixed small-n identities always run; ``max_n`` scales only the ranges.
     A check that raises is reported as a FAIL with the exception as its
-    detail, and the checks after it still run.
+    detail, and the checks after it still run.  The checks run in forked
+    workers, one per available CPU, and in-process on one CPU or where
+    ``fork`` is not a start method; a worker that dies is a FAIL of its
+    check, not a hang.  The results keep the order of the list below, and
+    each check's seconds are measured in the process that ran it.
     """
 
     def cap(default: int, floor: int = 2) -> int:
@@ -514,4 +581,12 @@ def run_all(
         ("skeletal_multigraph_bijection", lambda: check_skeletal_bijection(cap(7, 4))),
         ("chi_sum_conjugation", lambda: check_chi_sum_conjugation(cap(5, 3), 20, seed)),
     ]
+    # Without sched_getaffinity the available CPUs are unknown: run in-process.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(checks))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _run_forked(checks, workers)
     return [_run_check(name, check) for name, check in checks]

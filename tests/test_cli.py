@@ -355,6 +355,17 @@ def test_kreweras_oracle_reads_max_n_and_the_environment(capsys, monkeypatch, ro
 
 
 @pytest.mark.parametrize(
+    "flags, name", [(["--simion-ullman"], "--simion-ullman"), (["--power", "2"], "--power")]
+)
+def test_kreweras_oracle_has_no_simion_ullman_or_power_route(capsys, flags, name):
+    argv = ("kreweras", "9", "--partition", "(1,2)", *flags)
+    assert run(capsys, *argv, "--max-n", "8")[0] == 0
+    assert run(capsys, *argv, "--oracle", "--max-n", "8") == (
+        3, "", f"error: --oracle does not apply to {name}\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv", [("toggle", "6", "--arc", "1,2"), ("graph", "check-cliquish", "k4me.txt")]
 )
 def test_max_n_is_not_an_option_where_nothing_reads_it(

@@ -263,14 +263,16 @@ def test_without_numpy_the_output_is_byte_identical(capsys):
 
 
 def test_a_small_verify_run_never_imports_numpy():
+    # Nor does importing the CLI load the process pool verify-all runs on.
     code = (
         "import sys\n"
-        "import nctoggles.cli\n"
+        "import nctoggles.cli, nctoggles.verify\n"
+        "print({'multiprocessing', 'concurrent.futures'} & set(sys.modules))\n"
         "from nctoggles import verify\n"
         "assert all(r.passed for r in verify.run_all(max_n=4, num_words=2))\n"
         "print('numpy' in sys.modules)\n"
     )
-    assert run_python(code) == "False\n"
+    assert run_python(code) == "set()\nFalse\n"
 
 
 @needs_numpy

@@ -1,10 +1,15 @@
-"""The verification suite reports failures instead of crashing, and its
-Kreweras oracle does not share the fast route's conflict table."""
+"""The verification suite reports failures instead of crashing, on forked
+workers and in-process alike, and its Kreweras oracle does not share the
+fast route's conflict table."""
+
+import multiprocessing
+import os
 
 import pytest
 
 from nctoggles import kreweras, ncpartition, toggles, verify, words
 from nctoggles.ncpartition import arc_index
+from test_orbit_engine import run_python
 
 CHECK_NAMES = [
     "catalan_counts", "nc4_sample_word", "nc6_coxeter_orbit_sizes",
@@ -15,11 +20,26 @@ CHECK_NAMES = [
 ]
 
 
-def test_a_raising_check_is_a_fail_and_the_rest_still_run(monkeypatch):
-    def boom(*args):
-        raise RuntimeError("coarsest complement is not unique")
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
-    monkeypatch.setattr(verify, "check_kreweras_agreement", boom)
+
+@pytest.fixture(params=["forked", "in_process"])
+def path(request, monkeypatch):
+    """``run_all`` on two forked workers, or in-process as on one CPU."""
+    _cpus(monkeypatch, 2 if request.param == "forked" else 1)
+
+
+def _triples(results):
+    return [(r.name, r.passed, r.detail) for r in results]
+
+
+def _boom(*args):
+    raise RuntimeError("coarsest complement is not unique")
+
+
+def test_a_raising_check_is_a_fail_and_the_rest_still_run(monkeypatch, path):
+    monkeypatch.setattr(verify, "check_kreweras_agreement", _boom)
     results = verify.run_all(max_n=4, num_words=2)
     assert [r.name for r in results] == CHECK_NAMES
     failed = [r for r in results if not r.passed]
@@ -27,6 +47,49 @@ def test_a_raising_check_is_a_fail_and_the_rest_still_run(monkeypatch):
         ("kreweras_agreement", "RuntimeError: coarsest complement is not unique")
     ]
     assert failed[0].line().startswith("FAIL kreweras_agreement (")
+
+
+def test_forked_and_in_process_runs_give_the_same_triples(monkeypatch):
+    _cpus(monkeypatch, 2)
+    forked = _triples(verify.run_all(max_n=5, num_words=3))
+    _cpus(monkeypatch, 1)
+    assert _triples(verify.run_all(max_n=5, num_words=3)) == forked
+
+
+def test_no_worker_outlives_run_all(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert all(r.passed for r in verify.run_all(max_n=4, num_words=2))
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(verify, "check_kreweras_agreement", _boom)
+    assert not all(r.passed for r in verify.run_all(max_n=4, num_words=2))
+    assert multiprocessing.active_children() == []
+
+
+DEAD_WORKER = """
+import os
+from nctoggles import verify
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, real = os.getpid(), verify.check_kreweras_agreement
+
+def dies_in_a_worker(*args):
+    if os.getpid() != parent:
+        os._exit(1)
+    return real(*args)
+
+verify.check_kreweras_agreement = dies_in_a_worker
+for r in verify.run_all(max_n=4, num_words=2):
+    print(r.name, r.passed, r.detail if not r.passed else "")
+"""
+
+
+def test_a_dead_worker_is_a_fail_and_the_rest_still_run():
+    # The run is time-bounded, so a pool that hangs on the dead worker fails.
+    lines = run_python(DEAD_WORKER).splitlines()
+    assert [line.split()[0] for line in lines] == CHECK_NAMES
+    assert [line for line in lines if " True " not in line] == [
+        "kreweras_agreement False BrokenProcessPool: A process in the process "
+        "pool was terminated abruptly while the future was running or pending."
+    ]
 
 
 def _clear_nc_caches():
@@ -131,9 +194,9 @@ BROKEN_TABLE_RESULTS = [
 ]
 
 
-def test_every_fail_detail_under_a_broken_conflict_table(arcs_12_and_34_conflict):
+def test_every_fail_detail_under_a_broken_conflict_table(arcs_12_and_34_conflict, path):
     results = verify.run_all(max_n=5, num_words=3)
-    assert [(r.name, r.passed, r.detail) for r in results] == BROKEN_TABLE_RESULTS
+    assert _triples(results) == BROKEN_TABLE_RESULTS
 
 
 def test_psi_balance_counts_zeros_and_twos_when_psi_reaches_3(arcs_13_14_15_compatible):
