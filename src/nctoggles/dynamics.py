@@ -43,8 +43,9 @@ def _word_image(word: ToggleWord, limit: int | None):
 
     ``limit`` is the enumeration ceiling, checked first.  Each toggle is a
     table of index swaps (:func:`toggle_pairs`), built once per process and
-    shared by every word on [n].  ``image`` is an ndarray when NC(n) runs on
-    the numpy engine (:func:`vectorized`), else a list.
+    shared by every word on [n].  ``image`` is an int32 ndarray when NC(n)
+    runs on the numpy engine (:func:`vectorized`), else a list.  Both
+    :func:`orbit_masks` and :func:`orbit_sizes` start here.
     """
     n = word.n
     states = enumerate_masks(n, limit)
@@ -58,25 +59,33 @@ def _swap_pass(size: int, word_tables: list) -> list[int]:
     """The image of a word on ``size`` states, given the swap tables of its
     toggles in application order.
 
+    A table's pairs are its halves read side by side (:func:`toggle_pairs`).
     Swapping entries i, j of an array holding a map g, for every pair of a
     toggle t, leaves it holding g . t.  Going through the word backwards
     from the identity therefore ends with image[i] = index of word(state i).
     """
     image = list(range(size))
     for table in reversed(word_tables):
-        pairs = iter(table)
-        for i, j in zip(pairs, pairs):
+        half = len(table) // 2
+        for i, j in zip(table[:half], table[half:]):
             image[i], image[j] = image[j], image[i]
     return image
 
 
 def _swap_pass_numpy(size: int, word_tables: list):
-    """:func:`_swap_pass` as one fancy-index swap per toggle."""
+    """:func:`_swap_pass` as one fancy-index swap per toggle, returning an
+    int32 ndarray.
+
+    numpy gathers and scatters fastest with contiguous intp indices, so
+    each int32 table is cast once per toggle into one intp array whose two
+    rows are its halves; the copy lives for that toggle only and the
+    stored tables stay int32 (:func:`_pair_tables`).
+    """
     import numpy as np
 
     image = np.arange(size, dtype=np.int32)
     for table in reversed(word_tables):
-        i, j = np.asarray(table).reshape(-1, 2).T
+        i, j = table.astype(np.intp).reshape(2, -1)
         image[i], image[j] = image[j], image[i]
     return image
 
@@ -89,11 +98,14 @@ def _cycle_sizes(image) -> list[int]:
     doubling: after t rounds ``label[i]`` is the least of the 2**t indices
     that i reaches first.  A round that changes no label leaves each label
     its cycle's least index, so counting indices per label gives the sizes
-    in order of least index.
+    in order of least index.  With L the longest cycle's length, that takes
+    ceil(log2 L) + 1 rounds.  ``step`` is cast to intp once, so every gather
+    runs on contiguous intp indices; ``label`` keeps the image's dtype, and
+    ``image`` itself is not changed.
     """
     import numpy as np
 
-    label, step = np.arange(len(image), dtype=image.dtype), image
+    label, step = np.arange(len(image), dtype=image.dtype), image.astype(np.intp)
     while True:
         wider = np.minimum(label, label[step])
         if np.array_equal(wider, label):

@@ -121,13 +121,17 @@ def _pair_tables(n: int) -> dict:
 
     The tables hold indices into the enumeration, whose order is a contract
     (:func:`nctoggles.core.independent_sets`), so they stay valid after
-    ``_enum_masks_cached.cache_clear()``.  They cost 8 B per pair: about
-    9.2 MB at n = 12 and 35.7 MB at n = 13 once every slot is built.  The
+    ``_enum_masks_cached.cache_clear()``.  They cost 8 B per pair (two
+    int32 entries, one in each half of the table): about 9.2 MB at n = 12
+    and 35.7 MB at n = 13 once every slot is built.  They stay int32: the
+    numpy swap pass casts a table to intp for the one toggle it applies and
+    drops the copy, since intp tables would double the store.  The
     numpy build of every slot takes about 0.3 s at n = 12, against 0.9 s for
     the pure-Python one, and it holds no per-state dict: a cold
     ``orbits N --sizes-only`` of the row word peaks at 59 MB RSS at n = 12,
-    as on the pure-Python engine though numpy itself takes 11 MB, and at
-    138 MB at n = 13 against 176 MB (2-core VM, Python 3.11, numpy 2.4).
+    against 57 MB on the pure-Python engine though numpy itself takes
+    11 MB, and at 138 MB at n = 13 against 172 MB (2-core VM, Python 3.11,
+    numpy 2.4).
     """
     return {}
 
@@ -137,15 +141,18 @@ def toggle_pairs(n: int, slots: Iterable[int], states: tuple[int, ...]) -> dict:
 
     ``states`` is the enumeration of NC(n), which the caller got from
     :func:`enumerate_masks` and its ceiling check; indices point into it.
-    For each slot k, a flat table of index pairs i, j: state i contains the
-    arc and state j is state i without it, in increasing order of i.  The
-    table is an ``array('i')``, or an int32 ndarray with the same entries on
-    the numpy engine (:func:`vectorized`).  The toggle swaps each
-    pair and fixes every other state, so a word acts on indices by swapping
-    along these tables.  An arc of length m gives C(n-m) * C(m-1) pairs (see
-    :func:`counts`).  Tables are built once per process (:func:`_pair_tables`)
-    and shared by every caller, who must not mutate them; a call builds only
-    the requested slots not built yet.
+    For each slot k, a table of 2m indices in two halves: ``table[:m]``
+    holds the states that contain the arc, in increasing order, and
+    ``table[m:]`` their partners, ``table[m + t]`` being state
+    ``table[t]`` without the arc.  The table is an ``array('i')``, or an
+    int32 ndarray with the same entries on the numpy engine
+    (:func:`vectorized`), whose swap pass reads each half as one contiguous
+    index array.  The toggle swaps each pair and fixes every other state, so
+    a word acts on indices by swapping along these tables.  An arc of length
+    m gives C(n-m) * C(m-1) pairs (see :func:`counts`).  Tables are built
+    once per process (:func:`_pair_tables`) and shared by every caller, who
+    must not mutate them; a call builds only the requested slots not built
+    yet.
     """
     store = _pair_tables(n)
     wanted = set(slots)
@@ -157,7 +164,12 @@ def toggle_pairs(n: int, slots: Iterable[int], states: tuple[int, ...]) -> dict:
 
 
 def _pairs_python(n: int, slots: set[int], states: tuple[int, ...]) -> dict[int, array]:
-    """:func:`toggle_pairs`' tables for ``slots``, in one pass over the states."""
+    """:func:`toggle_pairs`' tables for ``slots``, in one pass over the states.
+
+    The pass appends each pair to its slot's table, state then partner.
+    Each table is then replaced by its halves, one slot at a time, so the
+    build needs room beyond the tables for one slot's copies only.
+    """
     tables = [array("i") if k in slots else None for k in range(arc_slots(n))]
     bits = [1 << k for k in range(arc_slots(n))]
     index = dict(zip(states, range(len(states))))
@@ -174,7 +186,10 @@ def _pairs_python(n: int, slots: set[int], states: tuple[int, ...]) -> dict[int,
             if table is not None:
                 table.append(i)
                 table.append(index[mask ^ bits[k]])
-    return {k: table for k, table in enumerate(tables) if table is not None}
+    for k in slots:
+        table = tables[k]
+        tables[k] = table[::2] + table[1::2]
+    return {k: tables[k] for k in slots}
 
 
 def _pairs_numpy(n: int, slots: set[int], states: tuple[int, ...]) -> dict:
@@ -186,7 +201,8 @@ def _pairs_numpy(n: int, slots: set[int], states: tuple[int, ...]) -> dict:
     every partner found is compared lane by lane with the state sought, so
     the tables are exact or the build fails.  The tables are views of one
     buffer, sized by :func:`counts`, so that they do not scatter through
-    the heap among the build's temporaries.
+    the heap among the build's temporaries; each is written as its two
+    halves, ``i`` then ``j``.
     """
     import numpy as np
 
@@ -225,7 +241,7 @@ def _pairs_numpy(n: int, slots: set[int], states: tuple[int, ...]) -> dict:
         if not all((lane[j] == p).all() for lane, p in zip(lanes, partner)):
             raise RuntimeError(f"an NC({n}) state without arc slot {k} is missing")
         table = out[k] = flat[start:start + 2 * size]
-        table[0::2], table[1::2] = i, j
+        table[:size], table[size:] = i, j
         start += 2 * size
     return out
 

@@ -16,6 +16,7 @@ from nctoggles.core import cycles
 from nctoggles.dynamics import (
     Statistic,
     _cycle_sizes,
+    _swap_pass,
     _swap_pass_numpy,
     check_homomesy,
     orbit_masks,
@@ -91,8 +92,10 @@ def test_toggle_pairs_match_bruteforce_toggle():
         assert sorted(tables) == sorted(arc_index(n, a) for a in arcs)
         for arc in arcs:
             pairs = tables[arc_index(n, arc)]
+            half = len(pairs) // 2
+            assert all(a < b for a, b in zip(pairs[:half], pairs[1:half]))
             partner = {}
-            for i, j in zip(pairs[::2], pairs[1::2]):
+            for i, j in zip(pairs[:half], pairs[half:]):
                 assert arc in as_arcs[i] and as_arcs[j] == as_arcs[i] - {arc}
                 partner[i], partner[j] = j, i
             assert len(partner) == len(pairs)
@@ -212,6 +215,54 @@ def test_numpy_tables_equal_the_pure_python_build():
             assert fast[k].tobytes() == slow[k].tobytes()
 
 
+def repeated_long_arcs(n):
+    """A word that toggles the longest arcs several times around a row word."""
+    long = [(1, n), (2, n), (1, n - 1)]
+    return ToggleWord(n, long + list(row_word(n).arcs) + long[::-1] + long)
+
+
+@needs_numpy
+@pytest.mark.parametrize("n", [10, 11])
+def test_numpy_image_equals_the_pure_python_image(n):
+    states = enumerate_masks(n)
+    fast = _pairs_numpy(n, set(range(arc_slots(n))), states)
+    slow = _pairs_python(n, set(range(arc_slots(n))), states)
+    for word in (row_word(n), kreweras_word(n), repeated_long_arcs(n)):
+        slots = [arc_index(n, arc) for arc in word.arcs]
+        image = _swap_pass_numpy(len(states), [fast[k] for k in slots])
+        assert image.dtype.name == "int32"
+        assert image.tolist() == _swap_pass(len(states), [slow[k] for k in slots])
+
+
+def permutations():
+    """Permutations of 0..2000 elements as index lists."""
+    return st.integers(min_value=0, max_value=2000).flatmap(
+        lambda size: st.permutations(range(size))
+    )
+
+
+#: One cycle 0 -> 1 -> ... -> 2**16 -> 0: index 1 reaches its least index 0
+#: only after 2**16 steps, so doubling runs 17 rounds that change a label.
+LONG_CYCLE = list(range(1, 2**16 + 1)) + [0]
+
+
+@needs_numpy
+@settings(max_examples=60, deadline=None)
+@given(permutations(), st.sampled_from(["int32", "int64"]))
+@example(list(range(1000)), "int32")
+@example(list(range(1000)), "int64")
+@example([], "int32")
+@example(LONG_CYCLE, "int32")
+@example(LONG_CYCLE, "int64")
+def test_cycle_sizes_match_cycles_on_any_permutation(perm, dtype):
+    import numpy as np
+
+    image = np.array(perm, dtype=dtype)
+    sizes = _cycle_sizes(image)
+    assert sizes == list(map(len, cycles(range(len(perm)), perm)))
+    assert image.tolist() == perm
+
+
 @needs_numpy
 @settings(max_examples=120, deadline=None)
 @given(toggle_words(max_n=9))
@@ -233,7 +284,8 @@ def test_row_word_orbits_at_12():
     sizes = orbit_sizes(word)
     assert len(sizes) == 8714 and sum(sizes) == 208012
     assert sizes == list(map(len, orbit_masks(word)))
-    assert all(type(t).__name__ == "ndarray" for t in _pair_tables(12).values())
+    tables = _pair_tables(12).values()
+    assert all(type(t).__name__ == "ndarray" and t.dtype.name == "int32" for t in tables)
 
 
 FALLBACK = """
