@@ -2,6 +2,7 @@
 its numpy engine (n >= 11) against the pure-Python one."""
 
 import importlib.util
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -261,6 +262,19 @@ def test_cycle_sizes_match_cycles_on_any_permutation(perm, dtype):
     sizes = _cycle_sizes(image)
     assert sizes == list(map(len, cycles(range(len(perm)), perm)))
     assert image.tolist() == perm
+
+
+@needs_numpy
+def test_cycle_sizes_do_not_depend_on_earlier_calls():
+    # _cycle_sizes reuses its buffers between calls of the same size.
+    import numpy as np
+
+    rng = random.Random(7)
+    perms = [rng.sample(range(500), 500) for _ in range(3)] + [list(range(500))]
+    expected = [list(map(len, cycles(range(500), p))) for p in perms]
+    for _ in range(2):
+        for perm, sizes in zip(perms, expected):
+            assert _cycle_sizes(np.array(perm, dtype=np.int32)) == sizes
 
 
 @needs_numpy
