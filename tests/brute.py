@@ -4,6 +4,10 @@ Everything here works on frozensets (of (i, j) arcs, or of graph vertex
 labels) with straight-from-the-definition checks: no bitmasks, no shared
 code with the package.  Kept deliberately slow and obvious; usable up to
 about n = 6, or graphs of about 8 vertices.
+
+The one exception is :func:`independent_sets`: the package's plain
+depth-first enumeration over bitsets, kept as the oracle for the order and
+content of the memoised one at sizes the subset filters cannot reach.
 """
 
 from functools import lru_cache
@@ -94,6 +98,24 @@ def orbits(n, word_composition_order):
             cur = apply_composition(cur, word_composition_order)
         out.add(frozenset(orbit))
     return out
+
+
+def independent_sets(adj, within=None):
+    """Every independent set of the graph ``adj`` (vertex v's neighbours as
+    a bitset) inside ``within``, as bitsets, in lexicographic order on sorted
+    vertex lists: one recursive call per set."""
+    out = []
+
+    def rec(mask, avail):
+        out.append(mask)
+        rest = avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            rec(mask | low, rest & ~adj[low.bit_length() - 1])
+
+    rec(0, (1 << len(adj)) - 1 if within is None else within)
+    return tuple(out)
 
 
 def graph_independent_sets(vertices, edges):

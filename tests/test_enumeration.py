@@ -1,0 +1,108 @@
+"""The memoised enumeration of :func:`nctoggles.core.independent_sets`
+against the plain recursion in tests/brute.py: the same tuple, order
+included, whatever was enumerated before."""
+
+from itertools import combinations
+
+from hypothesis import example, given, settings, strategies as st
+
+import brute
+from nctoggles import core
+from nctoggles.core import SMALL_SUBTREE, independent_sets
+from nctoggles.ncpartition import (
+    _enum_masks_cached,
+    arc_index,
+    catalan,
+    conflict_masks,
+    enumerate_masks,
+)
+
+
+def test_enumerate_masks_equals_the_plain_recursion_to_13():
+    # One test: the oracle's side alone takes about half a second at n = 13.
+    try:
+        for n in range(14):
+            assert enumerate_masks(n, limit=13) == brute.independent_sets(
+                conflict_masks(n)
+            )
+    finally:
+        _enum_masks_cached.cache_clear()
+
+
+def _path(m):
+    return [(v, v + 1) for v in range(m - 1)]
+
+
+@st.composite
+def larger_graphs(draw):
+    """A graph on 17-24 vertices, with an edge density that keeps its
+    independent sets to tens of thousands, and a vertex subset ``within``.
+
+    At the sparser densities some candidate sets exceed
+    :data:`SMALL_SUBTREE` vertices, so both the plain recursion and the memo
+    run."""
+    m = draw(st.integers(min_value=SMALL_SUBTREE + 1, max_value=24))
+    density = draw(st.sampled_from([0.15, 0.2, 0.3, 0.5]))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [pair for pair in combinations(range(m), 2) if rnd.random() < density]
+    within = rnd.getrandbits(m)
+    return m, edges, within
+
+
+def _adj(m, edges):
+    adj = [0] * m
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
+@settings(max_examples=15, deadline=None)
+@given(larger_graphs())
+@example((20, _path(20), (1 << 20) - 1))
+@example((17, [], (1 << 17) - 1 - 0b100))
+@example((20, list(combinations(range(20), 2)), 0))
+def test_larger_graphs_equal_the_plain_recursion(case):
+    m, edges, within = case
+    adj = _adj(m, edges)
+    assert independent_sets(adj) == brute.independent_sets(adj)
+    assert independent_sets(adj, within) == brute.independent_sets(adj, within)
+
+
+def test_results_do_not_depend_on_call_history():
+    n = 8
+    adj = conflict_masks(n)
+    # The same table with one more edge, between two late vertices so that
+    # it lies inside memoised subtrees: a memo keyed by anything coarser than
+    # the table would hand one graph's subtrees to the other.
+    a, b = arc_index(n, (4, 5)), arc_index(n, (6, 7))
+    other = list(adj)
+    other[a] |= 1 << b
+    other[b] |= 1 << a
+    full = (1 << len(adj)) - 1
+    withins = [full, 0, *(0x5A5A5A5 * k & full for k in range(1, 9))]
+    want = {w: brute.independent_sets(adj, w) for w in withins}
+    core._small_subtrees.cache_clear()
+    fresh = {w: independent_sets(adj, w) for w in withins}
+    assert fresh == want
+    # Repeated, reversed and interleaved with another graph's calls.
+    for w in [*withins, *reversed(withins), *withins]:
+        assert independent_sets(other, w) == brute.independent_sets(other, w)
+        assert independent_sets(adj, w) == want[w]
+
+
+def test_a_list_table_and_an_equal_tuple_give_the_same_sets():
+    adj = conflict_masks(7)
+    for first, second in ((list(adj), adj), (adj, list(adj))):
+        core._small_subtrees.cache_clear()
+        assert independent_sets(first) == independent_sets(second)
+        assert independent_sets(first, 0xF0F0F) == independent_sets(second, 0xF0F0F)
+    assert core._small_subtrees.cache_info().currsize == 1
+
+
+def test_the_nc12_memo_is_far_smaller_than_the_enumeration():
+    # A store that kept a copy of the enumeration would hold C_12 items.
+    adj = conflict_masks(12)
+    independent_sets(adj)
+    memo = core._small_subtrees(adj).memo
+    assert 0 < sum(map(len, memo.values())) < catalan(12) / 10

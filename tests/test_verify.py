@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+import brute
 from nctoggles import kreweras, ncpartition, toggles, verify, words
 from nctoggles.ncpartition import arc_index
 from test_orbit_engine import run_python
@@ -114,36 +115,54 @@ def _break_conflict_table(monkeypatch, edit):
     _clear_nc_caches()
 
 
+def _clash_12_and_34(n, masks):
+    if n >= 4:
+        a, b = arc_index(n, (1, 2)), arc_index(n, (3, 4))
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+
+
 @pytest.fixture
 def arcs_12_and_34_conflict(monkeypatch):
     """The fast route's conflict table, broken so that (1,2) and (3,4) clash."""
-
-    def edit(n, masks):
-        if n >= 4:
-            a, b = arc_index(n, (1, 2)), arc_index(n, (3, 4))
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-
-    _break_conflict_table(monkeypatch, edit)
+    _break_conflict_table(monkeypatch, _clash_12_and_34)
     yield
     _clear_nc_caches()
+
+
+def _allow_13_14_15(n, masks):
+    if n >= 5:
+        slots = [arc_index(n, (1, j)) for j in (3, 4, 5)]
+        for a in slots:
+            for b in slots:
+                masks[a] &= ~(1 << b)
 
 
 @pytest.fixture
 def arcs_13_14_15_compatible(monkeypatch):
     """The fast route's conflict table, broken so that (1,3), (1,4) and (1,5)
     may share a state."""
-
-    def edit(n, masks):
-        if n >= 5:
-            slots = [arc_index(n, (1, j)) for j in (3, 4, 5)]
-            for a in slots:
-                for b in slots:
-                    masks[a] &= ~(1 << b)
-
-    _break_conflict_table(monkeypatch, edit)
+    _break_conflict_table(monkeypatch, _allow_13_14_15)
     yield
     _clear_nc_caches()
+
+
+@pytest.mark.parametrize("edit", [_clash_12_and_34, _allow_13_14_15])
+def test_a_broken_conflict_table_finds_no_stale_subtrees(edit):
+    # The enumeration's subtree memo is keyed by the table's value, so it
+    # needs no clearing: a broken table is another graph.
+    _clear_nc_caches()
+    real = {n: ncpartition.enumerate_masks(n) for n in (5, 6, 8)}
+    with pytest.MonkeyPatch.context() as patch:
+        _break_conflict_table(patch, edit)
+        try:
+            for n, states in real.items():
+                broken = ncpartition.enumerate_masks(n)
+                assert broken == brute.independent_sets(ncpartition.conflict_masks(n))
+                assert broken != states
+        finally:
+            _clear_nc_caches()
+    assert {n: ncpartition.enumerate_masks(n) for n in real} == real
 
 
 def test_kreweras_oracle_catches_a_broken_conflict_table(arcs_12_and_34_conflict):
