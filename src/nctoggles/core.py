@@ -1,4 +1,5 @@
-"""The toggle system of a graph: enumeration, word stepper and cycle chase.
+"""The toggle system of a graph: enumeration, word stepper, orbit engine and
+cycle chase.
 
 A state is an independent set of a graph on vertices 0..m-1, stored as a
 bitset.  The graph is given as ``adj``, a tuple whose entry v is the bitset
@@ -16,12 +17,18 @@ Kreweras oracle's thousands of ``within`` searches share one.  For the base
 graph it holds 191 subtrees and 18,321 sets at n = 12 (0.8 MB), 293 and
 34,113 at n = 13 (1.5 MB), 447 and 61,723 at n = 14 (2.8 MB), against
 catalan(n) sets in the enumeration itself.
+
+The orbit engine (:func:`word_orbits`) composes a word on state indices,
+swapping along each toggle's table of index pairs, for NC(n) and graphs
+alike.  It runs on numpy when :func:`vectorized` says so; the list engine
+and :func:`orbit_partition` stay its oracles.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 S = TypeVar("S")
 
@@ -42,7 +49,7 @@ def independent_sets(adj: Sequence[int], within: int | None = None) -> tuple[int
 
     The order is a contract: each set comes after the set minus its highest
     vertex, and every set in between extends that one
-    (:func:`nctoggles.toggles.toggle_pairs` walks the states that way).
+    (:func:`toggle_pairs` walks the states that way).
 
     Subtrees with at most :data:`SMALL_SUBTREE` candidates come from the
     graph's memo (see the module docstring), which keeps the result
@@ -146,6 +153,305 @@ def orbit_partition(
     states: Sequence[S], step: Callable[[S], S]
 ) -> list[list[S]]:
     """Split ``states`` into orbits of the bijection ``step``, ordered as
-    :func:`cycles` orders them."""
+    :func:`cycles` orders them: one ``step`` call per state, the oracle of
+    :func:`word_orbits`, which the orbit decompositions run on instead."""
     index = {s: i for i, s in enumerate(states)}
     return cycles(states, [index[step(s)] for s in states])
+
+
+#: A toggle system with at least this many states is run on numpy when numpy
+#: imports; fewer states, or a process without numpy, run on lists and
+#: arrays.  For NC(n) that is n >= 11: at n = 10 (16,796 states) a cold run
+#: does not pay back importing numpy.
+VECTOR_MIN_STATES = 2**15
+
+#: The vectorized table build holds a state in two uint64 lanes.
+_LANE_BITS = 64
+
+
+def vectorized(size: int, vertices: int) -> bool:
+    """True when a toggle system of ``size`` states on ``vertices`` vertices
+    runs on the numpy engine: it has at least :data:`VECTOR_MIN_STATES`
+    states, its states fit two 64-bit lanes, and numpy imports.
+
+    numpy is imported here, on first use, never at package import: a run
+    that stays below the threshold never loads it.
+    """
+    if size < VECTOR_MIN_STATES or vertices > 2 * _LANE_BITS:
+        return False
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
+@lru_cache(maxsize=8)
+def _pair_tables(adj: tuple[int, ...]) -> dict:
+    """The swap tables of the graph ``adj`` built so far, by vertex; grown
+    by :func:`toggle_pairs`.
+
+    Keyed by the table's value as :func:`_small_subtrees` is, so an edited
+    table is a new graph; the store keeps the 8 graphs used last.  The
+    tables hold indices into :func:`independent_sets`, whose order is a
+    contract, so they stay valid after an enumeration cache is cleared.
+    They cost 8 B per pair (two int32 entries, one in each half of the
+    table): for NC(n) about 9.2 MB at n = 12 and 35.7 MB at n = 13 once
+    every slot is built.  They stay int32: the numpy swap pass casts a
+    table to intp for the one toggle it applies and drops the copy, since
+    intp tables would double the store.  The numpy build of every slot of
+    NC(12) takes about 0.3 s, against 0.9 s for the pure-Python one, and it
+    holds no per-state dict: a cold ``orbits N --sizes-only`` of the row
+    word peaks at 59 MB RSS at n = 12, against 57 MB on the pure-Python
+    engine though numpy itself takes 11 MB, and at 138 MB at n = 13 against
+    172 MB (2-core VM, Python 3.11, numpy 2.4).
+    """
+    return {}
+
+
+def toggle_pairs(adj: Sequence[int], slots: Iterable[int], states: tuple[int, ...]) -> dict:
+    """The toggles at vertices ``slots`` of the graph ``adj`` as swaps of
+    state indices.
+
+    ``states`` is ``independent_sets(adj)``, which the caller got through
+    its own ceiling check; indices point into it.  For each vertex k, a
+    table of 2m indices in two halves: ``table[:m]`` holds the states that
+    contain k, in increasing order, and ``table[m:]`` their partners,
+    ``table[m + t]`` being state ``table[t]`` without k.  The table is an
+    ``array('i')``, or an int32 ndarray with the same entries on the numpy
+    engine (:func:`vectorized`), whose swap pass reads each half as one
+    contiguous index array.  The toggle swaps each pair and fixes every
+    other state, so a word acts on indices by swapping along these tables.
+    Tables are built once per process (:func:`_pair_tables`) and shared by
+    every caller, who must not mutate them; a call builds only the
+    requested vertices not built yet.
+    """
+    store = _pair_tables(tuple(adj))
+    wanted = set(slots)
+    missing = wanted - store.keys()
+    if missing:
+        build = _pairs_numpy if vectorized(len(states), len(adj)) else _pairs_python
+        store.update(build(adj, missing, states))
+    return {k: store[k] for k in wanted}
+
+
+def _pairs_python(adj: Sequence[int], slots: set[int], states: tuple[int, ...]) -> dict:
+    """:func:`toggle_pairs`' tables for ``slots``, in one pass over the states.
+
+    The pass appends each pair to its vertex's table, state then partner.
+    Each table is then replaced by its halves, one vertex at a time, so the
+    build needs room beyond the tables for one vertex's copies only.
+    """
+    tables = [array("i") if k in slots else None for k in range(len(adj))]
+    bits = [1 << k for k in range(len(adj))]
+    index = dict(zip(states, range(len(states))))
+    # In lexicographic order a state's parent (the state minus its top
+    # vertex) comes earlier, and every state in between extends the parent,
+    # so path[:d] holds the vertices of the current state when it has d.
+    path = [0] * len(adj)
+    for i, mask in enumerate(states):
+        d = mask.bit_count()
+        if d:
+            path[d - 1] = mask.bit_length() - 1
+        for k in path[:d]:
+            table = tables[k]
+            if table is not None:
+                table.append(i)
+                table.append(index[mask ^ bits[k]])
+    for k in slots:
+        table = tables[k]
+        tables[k] = table[::2] + table[1::2]
+    return {k: tables[k] for k in slots}
+
+
+def _pairs_numpy(adj: Sequence[int], slots: set[int], states: tuple[int, ...]) -> dict:
+    """:func:`toggle_pairs`' tables for ``slots`` as int32 ndarrays, with no
+    per-state dict: each partner is found by binary search on a sorted key.
+
+    A state is two uint64 lanes, ``lo`` (vertices 0..63) and ``hi``, keyed
+    by ``lo ^ (hi * 0x9E3779B97F4A7C15)`` (mod 2**64).  Equal keys raise,
+    and every partner found is compared lane by lane with the state sought,
+    so the tables are exact or the build fails.  The toggle at k maps the
+    states holding k one to one onto the states where k can be added (no
+    bit of ``1 << k | adj[k]``), so those are counted, and holders of
+    another number raise.  The tables are views of one buffer, sized by
+    those counts, so that they do not scatter through the heap among the
+    build's temporaries; each is written as its two halves, ``i`` then ``j``.
+    """
+    import numpy as np
+
+    low = (1 << _LANE_BITS) - 1
+    lanes = (
+        np.fromiter((m & low for m in states), "<u8", len(states)),
+        np.fromiter((m >> _LANE_BITS for m in states), "<u8", len(states)),
+    )
+    # Byte b of a little-endian lane holds its bits 8b .. 8b + 7.
+    octets = [lane.view(np.uint8).reshape(-1, 8) for lane in lanes]
+    spread = np.uint64(0x9E3779B97F4A7C15)
+    keys = lanes[1] * spread
+    keys ^= lanes[0]
+    order = np.argsort(keys).astype(np.int32)
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():
+        raise RuntimeError("two states share a 64-bit key")
+    slots = sorted(slots)
+    # In place over two buffers: no temporary of every state's size per k.
+    (blocked, part), sizes = np.empty((2, len(states)), np.uint64), []
+    for k in slots:
+        mask = 1 << k | adj[k]
+        np.bitwise_and(lanes[0], np.uint64(mask & low), out=blocked)
+        np.bitwise_and(lanes[1], np.uint64(mask >> _LANE_BITS), out=part)
+        blocked |= part
+        sizes.append(len(states) - np.count_nonzero(blocked))
+    del blocked, part
+    flat, start = np.empty(2 * sum(sizes), np.int32), 0
+    out = {}
+    for k, size in zip(slots, sizes):
+        half, bit = divmod(k, _LANE_BITS)
+        i = np.flatnonzero(octets[half][:, bit // 8] & (1 << bit % 8))
+        partner = [lane[i] for lane in lanes]
+        partner[half] ^= np.uint64(1 << bit)
+        # The search runs about twice as fast on sorted queries.
+        queries = partner[1] * spread
+        queries ^= partner[0]
+        by_key = np.argsort(queries)
+        pos = np.searchsorted(keys, queries[by_key])
+        j = np.empty_like(order, shape=len(i))
+        j[by_key] = order[np.minimum(pos, len(states) - 1)]
+        if not all((lane[j] == p).all() for lane, p in zip(lanes, partner)):
+            raise RuntimeError(f"a state without arc slot {k} is missing")
+        if len(i) != size:
+            raise RuntimeError(f"{len(i)} states contain arc slot {k}, not {size}")
+        table = out[k] = flat[start:start + 2 * size]
+        table[:size], table[size:] = i, j
+        start += 2 * size
+    return out
+
+
+def _word_image(adj: Sequence[int], slots: Sequence[int], states: tuple[int, ...]):
+    """The word that toggles ``slots`` in order as a permutation of state
+    indices, ``image[i]`` the index of word(state i): an int32 ndarray on
+    the numpy engine (:func:`vectorized`), else a list."""
+    tables = toggle_pairs(adj, slots, states)
+    swap_pass = _swap_pass_numpy if vectorized(len(states), len(adj)) else _swap_pass
+    return swap_pass(len(states), [tables[k] for k in slots])
+
+
+def _swap_pass(size: int, word_tables: list) -> list[int]:
+    """The image of a word on ``size`` states, given the swap tables of its
+    toggles in application order.
+
+    A table's pairs are its halves read side by side (:func:`toggle_pairs`).
+    Swapping entries i, j of an array holding a map g, for every pair of a
+    toggle t, leaves it holding g . t.  Going through the word backwards
+    from the identity therefore ends with image[i] = index of word(state i).
+    """
+    image = list(range(size))
+    for table in reversed(word_tables):
+        half = len(table) // 2
+        for i, j in zip(table[:half], table[half:]):
+            image[i], image[j] = image[j], image[i]
+    return image
+
+
+def _swap_pass_numpy(size: int, word_tables: list):
+    """:func:`_swap_pass` as one fancy-index swap per toggle, returning an
+    int32 ndarray.
+
+    numpy gathers and scatters fastest with contiguous intp indices, so
+    each int32 table is cast once per toggle into one intp array whose two
+    rows are its halves; the copy lives for that toggle only and the
+    stored tables stay int32 (:func:`_pair_tables`).
+    """
+    import numpy as np
+
+    image = np.arange(size, dtype=np.int32)
+    for table in reversed(word_tables):
+        i, j = table.astype(np.intp).reshape(2, -1)
+        image[i], image[j] = image[j], image[i]
+    return image
+
+
+@lru_cache(maxsize=1)
+def _doubling_buffers(size: int) -> tuple:
+    """Scratch arrays for :func:`_cycle_sizes` on ``size`` indices: the
+    identity and two labels as int32, two steps as intp, and a bool mask.
+
+    They are kept for the last size asked, 25 B per index (5.2 MB for
+    NC(12)), and overwritten by every call, which must not overlap another.
+    Fresh arrays on every call came from fresh pages: about 1,000 page
+    faults per warm ``orbits 12 --sizes-only``, 3-4 ms of its 30 ms on a
+    2-core VM, at a cost that swings with the load on the machine.
+    """
+    import numpy as np
+
+    return (
+        np.arange(size, dtype=np.int32),
+        np.empty(size, np.int32),
+        np.empty(size, np.int32),
+        np.empty(size, np.intp),
+        np.empty(size, np.intp),
+        np.empty(size, np.bool_),
+    )
+
+
+def _cycle_sizes(image) -> list[int]:
+    """The cycle sizes of the permutation ``image`` (an ndarray), in the
+    order of :func:`cycles`, with no cycle listed.
+
+    Each index is labelled with the least index on its cycle by pointer
+    doubling: after t rounds ``label[i]`` is the least of the 2**t indices
+    that i reaches first.  A round that changes no label leaves each label
+    its cycle's least index.  With L the longest cycle's length, that takes
+    ceil(log2 L) + 1 rounds.  Sorting the labels then puts each cycle's
+    indices in one run, in order of least index, and the run lengths are
+    the sizes.
+
+    Every array lives in :func:`_doubling_buffers`, so a call allocates
+    nothing of the permutation's size.  ``step`` is intp, so every gather
+    runs on contiguous intp indices; the gathers take ``mode="clip"``
+    because numpy copies ``out`` under the default mode, and ``image``,
+    being a permutation, never needs clipping.  ``image`` is not changed.
+    """
+    import numpy as np
+
+    size = len(image)
+    if not size:
+        return []
+    index, label, wider, step, far, same = _doubling_buffers(size)
+    label[...] = index
+    step[...] = image
+    while True:
+        np.take(label, step, out=wider, mode="clip")
+        np.minimum(label, wider, out=wider)
+        np.equal(wider, label, out=same)
+        if same.all():
+            break
+        label, wider = wider, label
+        np.take(step, step, out=far, mode="clip")
+        step, far = far, step
+    label.sort()
+    ends = np.flatnonzero(np.not_equal(label[1:], label[:-1], out=same[1:]))
+    return np.diff(ends, prepend=-1, append=size - 1).tolist()
+
+
+def word_orbits(
+    adj: Sequence[int], slots: Sequence[int], states: tuple[int, ...]
+) -> list[list[int]]:
+    """Orbits of the word that toggles the vertices ``slots`` in order on
+    ``states``, the independent sets of ``adj`` (:func:`toggle_pairs`), as
+    lists of bitsets ordered as :func:`cycles` orders them, on either
+    engine; :func:`orbit_partition` over :func:`stepper` is the oracle."""
+    image = _word_image(adj, slots, states)
+    return cycles(states, image if isinstance(image, list) else image.tolist())
+
+
+def word_orbit_sizes(
+    adj: Sequence[int], slots: Sequence[int], states: tuple[int, ...]
+) -> list[int]:
+    """The sizes of :func:`word_orbits`' orbits, in the same order; the
+    numpy engine lists no orbit (:func:`_cycle_sizes`)."""
+    image = _word_image(adj, slots, states)
+    if isinstance(image, list):
+        return list(map(len, cycles(states, image)))
+    return _cycle_sizes(image)

@@ -24,154 +24,59 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .core import cycles, stepper
+from .core import stepper, toggle_pairs, word_orbit_sizes, word_orbits
 from .ncpartition import (
     Arc,
     NCPartition,
     arc_index,
     arc_slots,
+    catalan,
     conflict_masks,
     enumerate_masks,
+    index_arc,
 )
-from .toggles import toggle_pairs, vectorized
+from .toggles import counts
 from .words import ToggleWord, admissible_conjugate, is_partial_coxeter
 
 
-def _word_image(word: ToggleWord, limit: int | None):
-    """The word as a permutation of NC(n) state indices: ``(states, image)``
-    with ``image[i]`` the index of word(state i).
-
-    ``limit`` is the enumeration ceiling, checked first.  Each toggle is a
-    table of index swaps (:func:`toggle_pairs`), built once per process and
-    shared by every word on [n].  ``image`` is an int32 ndarray when NC(n)
-    runs on the numpy engine (:func:`vectorized`), else a list.  Both
-    :func:`orbit_masks` and :func:`orbit_sizes` start here.
-    """
+def _arc_word(word: ToggleWord, limit: int | None) -> tuple:
+    """``(adj, slots, states)`` of ``word`` on NC(n) for the core engine,
+    with ``limit`` the enumeration ceiling, checked before any table is
+    built or numpy imported.  On either engine each swap table must hold
+    the pairs of the closed form :func:`nctoggles.toggles.counts`, which
+    counts NC(n): an enumeration of another length than catalan(n) is
+    broken already, and is left for verify's checks to report."""
     n = word.n
     states = enumerate_masks(n, limit)
-    slots = [arc_index(n, arc) for arc in word.arcs]
-    tables = toggle_pairs(n, slots, states)
-    swap_pass = _swap_pass_numpy if vectorized(n) else _swap_pass
-    return states, swap_pass(len(states), [tables[k] for k in slots])
+    adj, slots = conflict_masks(n), [arc_index(n, arc) for arc in word.arcs]
+    tables = toggle_pairs(adj, slots, states)
+    if len(states) == catalan(n):
+        pairs = _arc_pairs(n)
+        for k, table in tables.items():
+            if len(table) != 2 * pairs[k]:
+                raise RuntimeError(
+                    f"arc slot {k} of NC({n}) swaps {len(table) // 2} pairs, not {pairs[k]}"
+                )
+    return adj, slots, states
 
 
-def _swap_pass(size: int, word_tables: list) -> list[int]:
-    """The image of a word on ``size`` states, given the swap tables of its
-    toggles in application order.
-
-    A table's pairs are its halves read side by side (:func:`toggle_pairs`).
-    Swapping entries i, j of an array holding a map g, for every pair of a
-    toggle t, leaves it holding g . t.  Going through the word backwards
-    from the identity therefore ends with image[i] = index of word(state i).
-    """
-    image = list(range(size))
-    for table in reversed(word_tables):
-        half = len(table) // 2
-        for i, j in zip(table[:half], table[half:]):
-            image[i], image[j] = image[j], image[i]
-    return image
-
-
-def _swap_pass_numpy(size: int, word_tables: list):
-    """:func:`_swap_pass` as one fancy-index swap per toggle, returning an
-    int32 ndarray.
-
-    numpy gathers and scatters fastest with contiguous intp indices, so
-    each int32 table is cast once per toggle into one intp array whose two
-    rows are its halves; the copy lives for that toggle only and the
-    stored tables stay int32 (:func:`_pair_tables`).
-    """
-    import numpy as np
-
-    image = np.arange(size, dtype=np.int32)
-    for table in reversed(word_tables):
-        i, j = table.astype(np.intp).reshape(2, -1)
-        image[i], image[j] = image[j], image[i]
-    return image
-
-
-@lru_cache(maxsize=1)
-def _doubling_buffers(size: int) -> tuple:
-    """Scratch arrays for :func:`_cycle_sizes` on ``size`` indices: the
-    identity and two labels as int32, two steps as intp, and a bool mask.
-
-    They are kept for the last size asked, 25 B per index (5.2 MB at
-    n = 12), and overwritten by every call, which must not overlap another.
-    Fresh arrays on every call came from fresh pages: about 1,000 page
-    faults per warm ``orbits 12 --sizes-only``, 3-4 ms of its 30 ms on a
-    2-core VM, at a cost that swings with the load on the machine.
-    """
-    import numpy as np
-
-    return (
-        np.arange(size, dtype=np.int32),
-        np.empty(size, np.int32),
-        np.empty(size, np.int32),
-        np.empty(size, np.intp),
-        np.empty(size, np.intp),
-        np.empty(size, np.bool_),
-    )
-
-
-def _cycle_sizes(image) -> list[int]:
-    """The cycle sizes of the permutation ``image`` (an ndarray), in the
-    order of :func:`nctoggles.core.cycles`, with no cycle listed.
-
-    Each index is labelled with the least index on its cycle by pointer
-    doubling: after t rounds ``label[i]`` is the least of the 2**t indices
-    that i reaches first.  A round that changes no label leaves each label
-    its cycle's least index.  With L the longest cycle's length, that takes
-    ceil(log2 L) + 1 rounds.  Sorting the labels then puts each cycle's
-    indices in one run, in order of least index, and the run lengths are
-    the sizes.
-
-    Every array lives in :func:`_doubling_buffers`, so a call allocates
-    nothing of the permutation's size.  ``step`` is intp, so every gather
-    runs on contiguous intp indices; the gathers take ``mode="clip"``
-    because numpy copies ``out`` under the default mode, and ``image``,
-    being a permutation, never needs clipping.  ``image`` is not changed.
-    """
-    import numpy as np
-
-    size = len(image)
-    if not size:
-        return []
-    index, label, wider, step, far, same = _doubling_buffers(size)
-    label[...] = index
-    step[...] = image
-    while True:
-        np.take(label, step, out=wider, mode="clip")
-        np.minimum(label, wider, out=wider)
-        np.equal(wider, label, out=same)
-        if same.all():
-            break
-        label, wider = wider, label
-        np.take(step, step, out=far, mode="clip")
-        step, far = far, step
-    label.sort()
-    ends = np.flatnonzero(np.not_equal(label[1:], label[:-1], out=same[1:]))
-    return np.diff(ends, prepend=-1, append=size - 1).tolist()
+@lru_cache(maxsize=None)
+def _arc_pairs(n: int) -> tuple[int, ...]:
+    arcs = (index_arc(n, k) for k in range(arc_slots(n)))
+    return tuple(counts(n, i, j - i).containing for i, j in arcs)
 
 
 def orbit_masks(word: ToggleWord, limit: int | None = None) -> list[list[int]]:
-    """Orbits of a toggle word on NC(n), as lists of partition bitsets.
-
-    ``limit`` is the enumeration ceiling, checked once here.  Orbits come
-    out as :func:`nctoggles.core.cycles` orders them, on either engine.
-    ``ToggleWord.stepper`` computes the same map one state at a time and
-    serves as the test oracle.
-    """
-    states, image = _word_image(word, limit)
-    return cycles(states, image if isinstance(image, list) else image.tolist())
+    """Orbits of a toggle word on NC(n), as lists of partition bitsets, in
+    :func:`nctoggles.core.cycles` order; ``limit`` is the enumeration
+    ceiling.  ``ToggleWord.stepper`` is the test oracle."""
+    return word_orbits(*_arc_word(word, limit))
 
 
 def orbit_sizes(word: ToggleWord, limit: int | None = None) -> list[int]:
     """The sizes of :func:`orbit_masks`' orbits, in the same order; the
-    numpy engine lists no orbit (:func:`_cycle_sizes`)."""
-    states, image = _word_image(word, limit)
-    if isinstance(image, list):
-        return list(map(len, cycles(states, image)))
-    return _cycle_sizes(image)
+    numpy engine lists no orbit (:func:`nctoggles.core.word_orbit_sizes`)."""
+    return word_orbit_sizes(*_arc_word(word, limit))
 
 
 @dataclass(frozen=True)

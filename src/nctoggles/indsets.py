@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import independent_sets, orbit_partition, stepper
+from .core import independent_sets, stepper, word_orbits
 from .dynamics import HomomesyReport, homomesy_report
 from .ncpartition import arc_slots, arcs_conflict, index_arc
 
@@ -236,13 +236,20 @@ def apply_vertex_word(graph: SimpleGraph, word, current: frozenset) -> frozenset
     return frozenset(graph._unpack(mask))
 
 
+def orbit_partition(graph: SimpleGraph, word) -> list[list[int]]:
+    """Orbits of a vertex word (application order) on the independent sets
+    as bitsets, on NC(n)'s engine (:func:`nctoggles.core.word_orbits`), the
+    vertex ceiling checked first; ``core.orbit_partition`` over
+    :func:`_vertex_word_stepper` is the test oracle."""
+    states = independent_set_masks(graph)
+    return word_orbits(graph.adj, [graph.index_of(v) for v in word], states)
+
+
 def independent_set_orbits(graph: SimpleGraph, word) -> list[list[frozenset]]:
     """Orbits of a vertex word on the independent sets, canonically ordered."""
-    states = independent_set_masks(graph)
-    step = _vertex_word_stepper(graph, word)
     return [
         [frozenset(graph._unpack(m)) for m in orbit]
-        for orbit in orbit_partition(states, step)
+        for orbit in orbit_partition(graph, word)
     ]
 
 
@@ -338,8 +345,7 @@ def verify_cardinality_homomesy(
         problems.append(f"word is missing toggles for U members {missing}")
     precondition = "; ".join(problems) or None
 
-    states = independent_set_masks(graph)
-    orbits = orbit_partition(states, _vertex_word_stepper(graph, word))
+    orbits = orbit_partition(graph, word)
     full = (1 << graph.n_vertices) - 1
     stats = [("card", (1, 0, ((full, 1),)), Fraction(cert.A, 2))]
     for u in sorted(cert.u_set, key=str):

@@ -23,6 +23,7 @@ from . import core
 from .ncpartition import (
     Arc,
     NCPartition,
+    _check_arc_range,
     arc_index,
     arc_slots,
     arcs_conflict,
@@ -47,9 +48,10 @@ class ToggleWord:
     __slots__ = ("n", "arcs")
 
     def __init__(self, n: int, arcs_in_application_order=()):
+        # A triple or a float pair would otherwise fail later, deep in a run.
         arcs = tuple(tuple(a) for a in arcs_in_application_order)
         for arc in arcs:
-            if not (1 <= arc[0] < arc[1] <= n):
+            if _check_arc_range(n, arc) is not None:
                 raise ValueError(f"arc {arc} out of range for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)

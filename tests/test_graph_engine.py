@@ -1,18 +1,28 @@
 """The graph side of the toggle-system core against tests/brute.py."""
 
+import random
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brute
-from nctoggles.core import independent_sets
+from nctoggles import core, indsets
+from nctoggles.core import _pairs_numpy, _pairs_python, independent_sets
 from nctoggles.indsets import (
     SimpleGraph,
+    _vertex_word_stepper,
+    check_cliquish_with,
+    cycle_with_edge_triangles,
     enumerate_independent_sets,
     independent_set_masks,
     independent_set_orbits,
+    orbit_partition,
+    pendant_double,
     toggle_vertex,
+    verify_cardinality_homomesy,
 )
+from test_orbit_engine import needs_numpy
 
 
 @st.composite
@@ -89,3 +99,64 @@ def test_toggle_vertex_matches_bruteforce_on_every_state(case):
             assert toggle_vertex(graph, state, v) == brute.toggle_vertex(
                 edges, state, v
             )
+
+
+@st.composite
+def clustered_graphs(draw, max_vertices=24, max_cliques=6):
+    """A graph on at most ``max_vertices`` vertices that ``max_cliques``
+    cliques cover, with any other edges: an independent set takes at most
+    one vertex of each clique, so it has at most 5**6 of them."""
+    m = draw(st.integers(min_value=0, max_value=max_vertices))
+    clique = draw(st.lists(st.integers(0, max_cliques - 1), min_size=m, max_size=m))
+    pairs = list(combinations(range(m), 2))
+    across = [(u, v) for u, v in pairs if clique[u] != clique[v]]
+    extra = draw(st.sets(st.sampled_from(across))) if across else set()
+    within = [(u, v) for u, v in pairs if clique[u] == clique[v]]
+    return SimpleGraph(range(m), within + sorted(extra))
+
+
+@needs_numpy
+@settings(max_examples=40, deadline=None)
+@given(clustered_graphs())
+@example(SimpleGraph([]))
+@example(SimpleGraph(range(14)))
+@example(SimpleGraph(range(24), combinations(range(24), 2)))
+def test_numpy_tables_equal_the_pure_python_build_on_graphs(graph):
+    states, slots = independent_set_masks(graph), set(range(graph.n_vertices))
+    fast = _pairs_numpy(graph.adj, slots, states)
+    slow = _pairs_python(graph.adj, slots, states)
+    assert sorted(fast) == sorted(slow) == sorted(slots)
+    for k in slots:
+        assert fast[k].dtype.name == "int32"
+        assert fast[k].tobytes() == slow[k].tobytes()
+
+
+def test_graph_reports_equal_the_stepper_oracle(monkeypatch):
+    rng = random.Random(5)
+    base = [e for e in combinations(range(7), 2) if rng.random() < 0.3]
+    graph, u_set = pendant_double(SimpleGraph(range(7), base))
+    word = list(graph.vertices)
+    rng.shuffle(word)
+    states = independent_set_masks(graph)
+    assert len(states) >= 2**15
+    oracle = core.orbit_partition(states, _vertex_word_stepper(graph, word))
+    assert orbit_partition(graph, word) == oracle
+    cert = check_cliquish_with(graph, u_set)
+    fast = verify_cardinality_homomesy(graph, cert, word)
+    monkeypatch.setattr(indsets, "orbit_partition", lambda g, w: oracle)
+    slow = verify_cardinality_homomesy(graph, cert, word)
+    assert fast.holds and len(fast.sub_reports) == len(u_set)
+    for got, want in zip((fast, *fast.sub_reports), (slow, *slow.sub_reports)):
+        assert (got.orbit_sizes, got.sums) == (want.orbit_sizes, want.sums)
+
+
+@needs_numpy
+def test_numpy_tables_fail_loudly_on_a_bad_graph_state_list():
+    graph, _ = cycle_with_edge_triangles(5)
+    states, k = independent_set_masks(graph), graph.index_of(1)
+    with pytest.raises(RuntimeError, match="share a 64-bit key"):
+        _pairs_numpy(graph.adj, {k}, states + states[:1])
+    with pytest.raises(RuntimeError, match="without arc slot"):
+        _pairs_numpy(graph.adj, {k}, states[1:])
+    with pytest.raises(RuntimeError, match="contain arc slot"):
+        _pairs_numpy(graph.adj, {k}, tuple(m for m in states if m != 1 << k))

@@ -54,6 +54,37 @@ def test_every_test_module_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level modules a source imports absolutely, at any depth:
+    inside functions too, where the package imports numpy on first use."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_checker_finds_a_function_level_import():
+    source = (
+        "from . import core\n"
+        "def f():\n"
+        "    import numpy.linalg as la\n"
+        "    from os import path\n"
+    )
+    assert imported_modules(source) == {"numpy", "os"}
+
+
+def test_only_core_imports_numpy():
+    # The engine choice (core.vectorized) and both engines live in core.
+    importers = [
+        p.name for p in sorted(PACKAGE.glob("*.py"))
+        if "numpy" in imported_modules(p.read_text(encoding="utf-8"))
+    ]
+    assert importers == ["core.py"]
+
+
 def test_no_public_name_hides_a_module():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     exported = {

@@ -13,12 +13,19 @@ from hypothesis import example, given, settings, strategies as st
 
 import brute
 from nctoggles import cli, ncpartition
-from nctoggles.core import cycles
-from nctoggles.dynamics import (
-    Statistic,
+from nctoggles.core import (
     _cycle_sizes,
+    _pair_tables,
+    _pairs_numpy,
+    _pairs_python,
     _swap_pass,
     _swap_pass_numpy,
+    cycles,
+    toggle_pairs,
+    vectorized,
+)
+from nctoggles.dynamics import (
+    Statistic,
     check_homomesy,
     orbit_masks,
     orbit_sizes,
@@ -29,14 +36,9 @@ from nctoggles.ncpartition import (
     _enum_masks_cached,
     arc_index,
     arc_slots,
+    catalan,
+    conflict_masks,
     enumerate_masks,
-)
-from nctoggles.toggles import (
-    _pair_tables,
-    _pairs_numpy,
-    _pairs_python,
-    toggle_pairs,
-    vectorized,
 )
 from nctoggles.words import ToggleWord, kreweras_word, row_word
 
@@ -89,7 +91,7 @@ def test_toggle_pairs_match_bruteforce_toggle():
         states = enumerate_masks(n)
         as_arcs = [frozenset(NCPartition._raw(n, m).arcs()) for m in states]
         arcs = brute.all_arcs(n)
-        tables = toggle_pairs(n, [arc_index(n, a) for a in arcs], states)
+        tables = toggle_pairs(conflict_masks(n), [arc_index(n, a) for a in arcs], states)
         assert sorted(tables) == sorted(arc_index(n, a) for a in arcs)
         for arc in arcs:
             pairs = tables[arc_index(n, arc)]
@@ -106,23 +108,23 @@ def test_toggle_pairs_match_bruteforce_toggle():
 
 def test_toggle_pairs_cover_only_requested_slots():
     states, slot = enumerate_masks(5), arc_index(5, (2, 4))
-    assert list(toggle_pairs(5, [slot, slot], states)) == [slot]
-    assert toggle_pairs(5, [], states) == {}
+    assert list(toggle_pairs(conflict_masks(5), [slot, slot], states)) == [slot]
+    assert toggle_pairs(conflict_masks(5), [], states) == {}
 
 
 def test_tables_built_in_steps_equal_a_fresh_build():
     for n in (4, 6, 7):
         every, states = list(range(arc_slots(n))), enumerate_masks(n)
         _pair_tables.cache_clear()
-        subset = toggle_pairs(n, every[::3], states)
-        superset = toggle_pairs(n, every[::3] + every[1::3], states)
-        stepwise = toggle_pairs(n, every, states)
-        repeat = toggle_pairs(n, every, states)
+        subset = toggle_pairs(conflict_masks(n), every[::3], states)
+        superset = toggle_pairs(conflict_masks(n), every[::3] + every[1::3], states)
+        stepwise = toggle_pairs(conflict_masks(n), every, states)
+        repeat = toggle_pairs(conflict_masks(n), every, states)
         assert all(superset[k] is subset[k] for k in subset)
         assert all(stepwise[k] is superset[k] for k in superset)
         assert all(repeat[k] is stepwise[k] for k in every)
         _pair_tables.cache_clear()
-        fresh = toggle_pairs(n, every, states)
+        fresh = toggle_pairs(conflict_masks(n), every, states)
         assert sorted(stepwise) == sorted(fresh) == every
         for k in every:
             assert stepwise[k] is not fresh[k] and stepwise[k] == fresh[k]
@@ -130,9 +132,26 @@ def test_tables_built_in_steps_equal_a_fresh_build():
 
 def test_orbit_masks_survive_an_enumeration_cache_clear():
     for word in (row_word(6), kreweras_word(7), ToggleWord(7, [(2, 5), (1, 7), (2, 3)])):
-        toggle_pairs(word.n, range(arc_slots(word.n)), enumerate_masks(word.n))
+        toggle_pairs(conflict_masks(word.n), range(arc_slots(word.n)), enumerate_masks(word.n))
         _enum_masks_cached.cache_clear()
         assert orbit_masks(word) == stepper_orbits(word)
+
+
+def test_a_table_off_the_closed_form_fails_loudly():
+    # Either engine's table for an arc of length m must hold C(n-m) * C(m-1)
+    # pairs (toggles.counts); one pair short is an error, not an orbit.
+    word, adj, states = row_word(6), conflict_masks(6), enumerate_masks(6)
+    slot = arc_index(6, word.arcs[0])
+    _pair_tables.cache_clear()
+    try:
+        table = toggle_pairs(adj, [slot], states)[slot]
+        half = len(table) // 2
+        _pair_tables(adj)[slot] = table[1:half] + table[half + 1:]
+        for decompose in (orbit_masks, orbit_sizes):
+            with pytest.raises(RuntimeError, match=f"swaps {half - 1} pairs, not {half}"):
+                decompose(word)
+    finally:
+        _pair_tables.cache_clear()
 
 
 def run_python(code: str, *args: str) -> str:
@@ -150,7 +169,7 @@ CEILING_FIRST = """
 import sys
 from nctoggles.dynamics import orbit_masks, orbit_sizes
 from nctoggles.ncpartition import EnumerationLimitError
-from nctoggles.toggles import _pair_tables
+from nctoggles.core import _pair_tables
 from nctoggles.words import row_word
 for decompose in (orbit_masks, orbit_sizes):
     try:
@@ -198,7 +217,7 @@ def numpy_engine(word):
     functions, whatever n is."""
     n, states = word.n, enumerate_masks(word.n)
     slots = [arc_index(n, arc) for arc in word.arcs]
-    tables = _pairs_numpy(n, set(slots), states)
+    tables = _pairs_numpy(conflict_masks(n), set(slots), states)
     image = _swap_pass_numpy(len(states), [tables[k] for k in slots])
     return cycles(states, image.tolist()), _cycle_sizes(image)
 
@@ -209,7 +228,8 @@ def test_numpy_tables_equal_the_pure_python_build():
     cases = [(n, set(range(arc_slots(n)))) for n in range(12)] + [(12, {0, 63, 64, 65})]
     for n, slots in cases:
         states = enumerate_masks(n)
-        fast, slow = _pairs_numpy(n, slots, states), _pairs_python(n, slots, states)
+        adj = conflict_masks(n)
+        fast, slow = _pairs_numpy(adj, slots, states), _pairs_python(adj, slots, states)
         assert sorted(fast) == sorted(slow) == sorted(slots)
         for k in slots:
             assert fast[k].dtype.name == "int32"
@@ -226,8 +246,8 @@ def repeated_long_arcs(n):
 @pytest.mark.parametrize("n", [10, 11])
 def test_numpy_image_equals_the_pure_python_image(n):
     states = enumerate_masks(n)
-    fast = _pairs_numpy(n, set(range(arc_slots(n))), states)
-    slow = _pairs_python(n, set(range(arc_slots(n))), states)
+    fast = _pairs_numpy(conflict_masks(n), set(range(arc_slots(n))), states)
+    slow = _pairs_python(conflict_masks(n), set(range(arc_slots(n))), states)
     for word in (row_word(n), kreweras_word(n), repeated_long_arcs(n)):
         slots = [arc_index(n, arc) for arc in word.arcs]
         image = _swap_pass_numpy(len(states), [fast[k] for k in slots])
@@ -298,7 +318,7 @@ def test_row_word_orbits_at_12():
     sizes = orbit_sizes(word)
     assert len(sizes) == 8714 and sum(sizes) == 208012
     assert sizes == list(map(len, orbit_masks(word)))
-    tables = _pair_tables(12).values()
+    tables = _pair_tables(conflict_masks(12)).values()
     assert all(type(t).__name__ == "ndarray" and t.dtype.name == "int32" for t in tables)
 
 
@@ -307,9 +327,10 @@ import sys
 sys.modules["numpy"] = None
 from array import array
 from nctoggles import cli
-from nctoggles.toggles import _pair_tables
+from nctoggles.core import _pair_tables
+from nctoggles.ncpartition import conflict_masks
 code = cli.main(sys.argv[1:])
-assert all(type(t) is array for t in _pair_tables(11).values())
+assert all(type(t) is array for t in _pair_tables(conflict_masks(11)).values())
 sys.exit(code)
 """
 
@@ -317,7 +338,7 @@ sys.exit(code)
 @needs_numpy
 def test_numpy_runs_from_n_11():
     # A cold run at n = 10 does not pay back importing numpy.
-    assert [vectorized(n) for n in (10, 11)] == [False, True]
+    assert [vectorized(catalan(n), arc_slots(n)) for n in (10, 11)] == [False, True]
 
 
 @needs_numpy
@@ -345,8 +366,8 @@ def test_a_small_verify_run_never_imports_numpy():
 def test_numpy_tables_fail_loudly_on_a_bad_state_list():
     states, slot = enumerate_masks(6), arc_index(6, (1, 6))
     with pytest.raises(RuntimeError, match="share a 64-bit key"):
-        _pairs_numpy(6, {slot}, states + states[-1:])
+        _pairs_numpy(conflict_masks(6), {slot}, states + states[-1:])
     with pytest.raises(RuntimeError, match="without arc slot"):
-        _pairs_numpy(6, {slot}, states[1:])
+        _pairs_numpy(conflict_masks(6), {slot}, states[1:])
     with pytest.raises(RuntimeError, match="contain arc slot"):
-        _pairs_numpy(6, {slot}, tuple(m for m in states if m != 1 << slot))
+        _pairs_numpy(conflict_masks(6), {slot}, tuple(m for m in states if m != 1 << slot))

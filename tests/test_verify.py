@@ -8,7 +8,7 @@ import os
 import pytest
 
 import brute
-from nctoggles import kreweras, ncpartition, toggles, verify, words
+from nctoggles import core, kreweras, ncpartition, toggles, verify, words
 from nctoggles.ncpartition import arc_index
 from test_orbit_engine import run_python
 
@@ -95,7 +95,7 @@ def test_a_dead_worker_is_a_fail_and_the_rest_still_run():
 
 def _clear_nc_caches():
     ncpartition._enum_masks_cached.cache_clear()
-    toggles._pair_tables.cache_clear()
+    core._pair_tables.cache_clear()
     kreweras._kreweras_stepper.cache_clear()
     kreweras._violation_masks.cache_clear()
     kreweras._blocked_slots.cache_clear()

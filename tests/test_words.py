@@ -53,6 +53,14 @@ def test_json_roundtrip():
     assert ToggleWord.from_json_dict(obj) == SAMPLE4
 
 
+@pytest.mark.parametrize("arc", [(1, 2, 3), (1.0, 3.0), (1,), ("1", "2"), (2, 1), (0, 4)])
+def test_a_bad_arc_is_rejected_at_construction(arc):
+    with pytest.raises(ValueError, match="out of range for n=4"):
+        ToggleWord(4, [(1, 2), arc])
+    with pytest.raises(ValueError, match="out of range for n=4"):
+        ToggleWord.from_json_dict({"n": 4, "composition_order": [list(arc)]})
+
+
 def test_apply_word_on_empty():
     result = apply_word(SAMPLE4, NCPartition.empty(4))
     assert result.arcs() == ((1, 4), (2, 3))
