@@ -26,23 +26,18 @@ from .indsets import (
     CliquishCertificate,
     Multigraph,
     SimpleGraph,
-    add_edge,
     apply_vertex_word,
     base_graph,
     check_cliquish_with,
     complete_minus_edge,
     cycle_with_edge_triangles,
-    disjoint_union,
     enumerate_2cliquish_from_skeletal,
-    enumerate_independent_sets,
     graph_isomorphic,
     is_2_cliquish,
     is_skeletal,
     multigraph_isomorphic,
     multigraph_to_skeletal,
     pendant_double,
-    psi_v,
-    remove_edge,
     skeletal_to_multigraph,
     skeletalize,
     toggle_vertex,
@@ -66,13 +61,8 @@ from .ncpartition import (
     NCPartition,
     Violation,
     ViolationKind,
-    arc_count,
-    arcs_to_blocks,
-    block_count,
-    blocks_to_arcs,
     catalan,
     enumerate_nc,
-    is_refinement,
     validate,
 )
 from .toggles import (
@@ -91,17 +81,13 @@ from .words import (
     Orientation,
     ToggleWord,
     admissible_conjugate,
-    admissible_sequence_valid,
     apply_word,
     column_word,
     functionally_equal,
-    is_coxeter,
     is_partial_coxeter,
-    kreweras_inverse_word,
     kreweras_word,
     orientation_of,
     row_word,
     sinks,
     sources,
-    torically_equivalent,
 )

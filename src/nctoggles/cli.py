@@ -113,11 +113,7 @@ def _parse_partition(n: int, text: str) -> NCPartition:
 
 
 def _load_word(args) -> ToggleWord:
-    if getattr(args, "word_file", None):
-        with open(args.word_file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = args.word
+    text = _read_text(args.word_file) if args.word_file else args.word
     if text is None:
         raise _UsageError("a word is required (--word or --word-file)")
     return ToggleWord.from_text(args.n, text)
@@ -261,9 +257,13 @@ def _resolve_uset(graph: SimpleGraph, args):
 def _cmd_graph(args) -> int:
     if args.uset is not None and args.action in ("check-cliquish", "from-multigraph"):
         raise _UsageError(f"--uset does not apply to {args.action}")
+    if args.from_skeletal is not None and args.action != "gen":
+        raise _UsageError(f"--from-skeletal does not apply to {args.action}")
     if args.action == "gen":
         if not args.from_skeletal:
             raise _UsageError("gen requires --from-skeletal FILE")
+        if args.file is not None:
+            raise _UsageError("gen reads its graph from --from-skeletal, not a file argument")
         graph = SimpleGraph.from_text(_read_text(args.from_skeletal))
     else:
         if not args.file:
@@ -367,34 +367,37 @@ def build_parser() -> argparse.ArgumentParser:
                 help="enumeration ceiling override (env NCTOGGLES_MAX_ENUM)",
             )
 
+    def word_options(p, *more):
+        # One source of the toggles: argparse rejects a second one.
+        group = p.add_mutually_exclusive_group()
+        for flag in (*more, "--word", "--word-file"):
+            group.add_argument(flag)
+
     p = sub.add_parser("enumerate", help="list noncrossing partitions of [n]")
     p.add_argument("n", type=int)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--blocks", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--count-only", action="store_true")
+    group.add_argument("--blocks", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("toggle", help="apply one toggle or a word to a partition")
     p.add_argument("n", type=int)
     p.add_argument("--partition", default="")
-    p.add_argument("--arc")
-    p.add_argument("--word")
-    p.add_argument("--word-file")
+    word_options(p, "--arc")
     common(p, with_max_n=False)
     p.set_defaults(func=_cmd_toggle)
 
     p = sub.add_parser("orbits", help="orbit decomposition of a toggle word")
     p.add_argument("n", type=int)
-    p.add_argument("--word")
-    p.add_argument("--word-file")
+    word_options(p)
     p.add_argument("--sizes-only", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("homomesy", help="check a statistic for homomesy")
     p.add_argument("n", type=int)
-    p.add_argument("--word")
-    p.add_argument("--word-file")
+    word_options(p)
     p.add_argument("--stat", required=True, help="alpha|beta|card|chi:i,j|psi:k")
     common(p)
     p.set_defaults(func=_cmd_homomesy)
@@ -402,9 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kreweras", help="Kreweras complement and relatives")
     p.add_argument("n", type=int)
     p.add_argument("--partition", default="")
-    p.add_argument("--prime", action="store_true")
-    p.add_argument("--simion-ullman", action="store_true")
-    p.add_argument("--power", type=int, default=None)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--prime", action="store_true")
+    group.add_argument("--simion-ullman", action="store_true")
+    group.add_argument("--power", type=int, default=None)
     p.add_argument("--oracle", action="store_true", help="use the geometric search")
     p.add_argument("--circular", action="store_true")
     p.add_argument("--dot", action="store_true")

@@ -101,9 +101,6 @@ class SimpleGraph:
             for w in self._unpack(self.adj[k] >> (k + 1) << (k + 1))
         ]
 
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
-
     def _unpack(self, mask: int) -> tuple:
         out = []
         while mask:
@@ -117,14 +114,6 @@ class SimpleGraph:
         for v in labels:
             mask |= 1 << self.index_of(v)
         return mask
-
-    def with_edge(self, u, v) -> "SimpleGraph":
-        return SimpleGraph(self.vertices, self.edges() + [(u, v)])
-
-    def without_edge(self, u, v) -> "SimpleGraph":
-        drop = {u, v}
-        kept = [e for e in self.edges() if set(e) != drop]
-        return SimpleGraph(self.vertices, kept)
 
     def is_clique(self, labels) -> bool:
         labels = tuple(labels)
@@ -187,39 +176,9 @@ def independent_set_masks(graph: SimpleGraph) -> tuple[int, ...]:
     return independent_sets(graph.adj)
 
 
-def enumerate_independent_sets(graph: SimpleGraph) -> list[frozenset]:
-    """All independent sets of the graph, as frozensets, in canonical order."""
-    return [frozenset(graph._unpack(m)) for m in independent_set_masks(graph)]
-
-
 def toggle_vertex(graph: SimpleGraph, current: frozenset, v) -> frozenset:
     """Toggle vertex v: remove it, add it if no neighbor is present, else no-op."""
     return apply_vertex_word(graph, (v,), current)
-
-
-def psi_v(graph: SimpleGraph, current: frozenset, v) -> int:
-    """Twice the indicator of v plus the number of its neighbors present.
-
-    When the neighborhood of v is a clique this lands in {0, 1, 2}.
-    """
-    k = graph.index_of(v)
-    mask = graph._pack(current)
-    return 2 * (mask >> k & 1) + (mask & graph.adj[k]).bit_count()
-
-
-def parse_vertex_word(graph: SimpleGraph, text: str) -> tuple:
-    """Parse a vertex word written in composition order (rightmost acts first).
-
-    Tokens are matched against the string form of the graph's labels; the
-    returned tuple is in application order.
-    """
-    by_name = {str(v): v for v in graph.vertices}
-    word = []
-    for pos, tok in enumerate(text.split()):
-        if tok not in by_name:
-            raise ValueError(f"bad vertex token {tok!r} at position {pos}")
-        word.append(by_name[tok])
-    return tuple(reversed(word))
 
 
 def vertex_word_text(word) -> str:
@@ -243,14 +202,6 @@ def orbit_partition(graph: SimpleGraph, word) -> list[list[int]]:
     :func:`_vertex_word_stepper` is the test oracle."""
     states = independent_set_masks(graph)
     return word_orbits(graph.adj, [graph.index_of(v) for v in word], states)
-
-
-def independent_set_orbits(graph: SimpleGraph, word) -> list[list[frozenset]]:
-    """Orbits of a vertex word on the independent sets, canonically ordered."""
-    return [
-        [frozenset(graph._unpack(m)) for m in orbit]
-        for orbit in orbit_partition(graph, word)
-    ]
 
 
 # --- 2-cliquish graphs -------------------------------------------------------
@@ -403,59 +354,17 @@ def cycle_with_edge_triangles(m: int) -> tuple[SimpleGraph, frozenset]:
     return SimpleGraph(vertices, edges), frozenset(added)
 
 
-def disjoint_union(
-    g1: SimpleGraph, g2: SimpleGraph, u1=frozenset(), u2=frozenset()
-) -> tuple[SimpleGraph, frozenset]:
-    """Disjoint union with vertices tagged ("L", v) / ("R", v); U = U1 + U2."""
-    vertices = [("L", v) for v in g1.vertices] + [("R", v) for v in g2.vertices]
-    edges = [(("L", a), ("L", b)) for a, b in g1.edges()]
-    edges += [(("R", a), ("R", b)) for a, b in g2.edges()]
-    u_set = frozenset({("L", u) for u in u1} | {("R", u) for u in u2})
-    return SimpleGraph(vertices, edges), u_set
-
-
-def _endpoints_outside(u_set: frozenset, edge) -> tuple:
-    v, w = edge
-    if v in u_set or w in u_set:
-        raise ValueError(f"edge endpoints must avoid U; got ({v!r}, {w!r})")
-    return v, w
-
-
-def add_edge(graph: SimpleGraph, u_set, edge) -> SimpleGraph:
-    """Add an edge between non-adjacent vertices outside U (stays 2-cliquish)."""
-    v, w = _endpoints_outside(frozenset(u_set), edge)
-    if graph.has_edge(v, w):
-        raise ValueError(f"edge ({v!r}, {w!r}) already present")
-    return graph.with_edge(v, w)
-
-
-def _common_u_neighbor(graph: SimpleGraph, u_mask: int, v, w) -> bool:
-    both = graph.adj[graph.index_of(v)] & graph.adj[graph.index_of(w)]
-    return bool(both & u_mask)
-
-
-def remove_edge(graph: SimpleGraph, u_set, edge) -> SimpleGraph:
-    """Remove an edge between non-U vertices with no common U-neighbor."""
-    u_set = frozenset(u_set)
-    v, w = _endpoints_outside(u_set, edge)
-    if not graph.has_edge(v, w):
-        raise ValueError(f"edge ({v!r}, {w!r}) not present")
-    if _common_u_neighbor(graph, graph._pack(u_set), v, w):
-        raise ValueError(
-            f"endpoints ({v!r}, {w!r}) share a neighbor in U; removal would "
-            f"break the two-neighbor condition"
-        )
-    return graph.without_edge(v, w)
-
-
 def _removable_edges(graph: SimpleGraph, u_set: frozenset) -> list[tuple]:
+    """Edges between two vertices outside U with no common neighbour in U:
+    the paper's removal rule, which keeps (G, U) 2-cliquish."""
     u_mask = graph._pack(u_set)
+    adj, index_of = graph.adj, graph.index_of
     return [
         (v, w)
         for v, w in graph.edges()
         if v not in u_set
         and w not in u_set
-        and not _common_u_neighbor(graph, u_mask, v, w)
+        and not adj[index_of(v)] & adj[index_of(w)] & u_mask
     ]
 
 

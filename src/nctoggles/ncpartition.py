@@ -211,37 +211,8 @@ class NCPartition:
         return self
 
     @classmethod
-    def from_mask(cls, n: int, mask: int) -> "NCPartition":
-        """Build from a bitset, checking pairwise compatibility of set bits."""
-        if not 0 <= n <= MAX_N:
-            raise ValueError(f"ground-set size must be in 0..{MAX_N}, got {n}")
-        if mask < 0 or mask >> arc_slots(n):
-            raise ValueError("mask has bits outside the arc slots")
-        conflicts = conflict_masks(n)
-        rest = mask
-        while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
-            if mask & conflicts[k]:
-                other = (mask & conflicts[k]).bit_length() - 1
-                pair = tuple(sorted((index_arc(n, k), index_arc(n, other))))
-                kind = _pair_violation(*pair)
-                assert kind is not None
-                raise InvalidPartitionError(Violation(kind, pair))
-            rest ^= low
-        return cls._raw(n, mask)
-
-    @classmethod
     def empty(cls, n: int) -> "NCPartition":
         return cls(n)
-
-    @classmethod
-    def from_blocks(
-        cls, blocks: Iterable[Iterable[int]], n: int | None = None
-    ) -> "NCPartition":
-        """The partition with these blocks; n defaults to the largest element."""
-        blocks = [tuple(b) for b in blocks]
-        return BlockPartition(_ground_size(blocks, n), blocks).to_arcs()
 
     def arcs(self) -> tuple[Arc, ...]:
         """The arc set, sorted lexicographically."""
@@ -293,10 +264,6 @@ class NCPartition:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "arcs": [list(a) for a in self.arcs()]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "NCPartition":
-        return cls(int(obj["n"]), [tuple(a) for a in obj["arcs"]])
 
     def __eq__(self, other) -> bool:
         return (
@@ -369,16 +336,6 @@ class BlockPartition:
         ]
         return NCPartition(self.n, arcs)
 
-    def is_noncrossing(self) -> bool:
-        return validate(
-            self.n,
-            [
-                (b[k], b[k + 1])
-                for b in self.blocks
-                for k in range(len(b) - 1)
-            ],
-        ) is None
-
     def to_text(self) -> str:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) or "{}"
 
@@ -392,7 +349,9 @@ class BlockPartition:
             chunk = chunk.strip()
             if chunk:
                 blocks.append(tuple(int(v) for v in chunk.split(",")))
-        return cls(_ground_size(blocks, n), blocks)
+        if n is None:
+            n = max((v for b in blocks for v in b), default=0)
+        return cls(n, blocks)
 
     def __eq__(self, other) -> bool:
         return (
@@ -406,42 +365,6 @@ class BlockPartition:
 
     def __repr__(self) -> str:
         return f"BlockPartition({self.n}, {[list(b) for b in self.blocks]})"
-
-
-def _ground_size(blocks: list[tuple[int, ...]], n: int | None) -> int:
-    """``n``, or if it is None the largest element of ``blocks`` (0 if none)."""
-    return max((v for b in blocks for v in b), default=0) if n is None else n
-
-
-def arcs_to_blocks(partition: NCPartition) -> BlockPartition:
-    """Blocks of a partition: connected components of the arc chains."""
-    return partition.block_partition()
-
-
-def blocks_to_arcs(partition: BlockPartition) -> NCPartition:
-    """Arc diagram of a noncrossing block partition (inverse of arcs_to_blocks)."""
-    return partition.to_arcs()
-
-
-def arc_count(partition: NCPartition) -> int:
-    """The arc count statistic: number of arcs in the diagram."""
-    return partition.arc_count
-
-
-def block_count(partition: NCPartition) -> int:
-    """The block count statistic; arc count + block count = n."""
-    return partition.block_count
-
-
-def is_refinement(finer: BlockPartition, coarser: BlockPartition) -> bool:
-    """True iff every block of ``finer`` is contained in a block of ``coarser``."""
-    if finer.n != coarser.n:
-        raise ValueError(f"mismatched ground sets: {finer.n} vs {coarser.n}")
-    where = {}
-    for idx, block in enumerate(coarser.blocks):
-        for v in block:
-            where[v] = idx
-    return all(len({where[v] for v in block}) == 1 for block in finer.blocks)
 
 
 @lru_cache(maxsize=8)

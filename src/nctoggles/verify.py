@@ -246,7 +246,7 @@ def check_arc_containment_counts(n_max: int = 10) -> str:
 @_check("kreweras_agreement")
 def check_kreweras_agreement(n_max: int = 8) -> str:
     for n in range(1, n_max + 1):
-        inverse_step = words.kreweras_inverse_word(n).stepper() if n >= 2 else None
+        inverse_step = words.row_word(n).stepper() if n >= 2 else None
         for partition in enumerate_nc(n):
             fast = kreweras_map(partition)
             oracle = kreweras_oracle(partition)

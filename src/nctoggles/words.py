@@ -3,8 +3,8 @@
 A word is a finite sequence of arcs.  Written notation follows function
 composition (the rightmost toggle acts first), but internally sequences are
 kept in *application order* — first-applied first — which kills an entire
-class of off-by-reversal bugs.  Text and JSON interchange use composition
-order, matching how such words are usually printed.
+class of off-by-reversal bugs.  Text input and text and JSON output use
+composition order, matching how such words are usually printed.
 
 A word is a partial Coxeter word when no arc repeats, and a Coxeter word
 when additionally every arc of [n] appears.  A partial Coxeter word induces
@@ -94,12 +94,6 @@ class ToggleWord:
             "composition_order": [list(a) for a in self.composition_order()],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ToggleWord":
-        return cls.from_composition_order(
-            int(obj["n"]), [tuple(a) for a in obj["composition_order"]]
-        )
-
     def support(self) -> frozenset[Arc]:
         return frozenset(self.arcs)
 
@@ -145,11 +139,6 @@ def is_partial_coxeter(word: ToggleWord) -> bool:
     return len(set(word.arcs)) == len(word.arcs)
 
 
-def is_coxeter(word: ToggleWord) -> bool:
-    """True iff every arc of [n] appears exactly once."""
-    return is_partial_coxeter(word) and len(word.arcs) == arc_slots(word.n)
-
-
 @dataclass(frozen=True)
 class Orientation:
     """An acyclic orientation of the base-graph subgraph on a word's support.
@@ -169,15 +158,6 @@ class Orientation:
     def sinks(self) -> frozenset[Arc]:
         tails = {a for a, _ in self.edges}
         return frozenset(self.support - tails)
-
-    def flip_source(self, arc: Arc) -> "Orientation":
-        """Convert a source into a sink by reversing all its edges."""
-        if arc not in self.sources():
-            raise ValueError(f"{arc} is not a source")
-        flipped = frozenset(
-            (b, a) if a == arc else (a, b) for a, b in self.edges
-        )
-        return Orientation(self.support, flipped)
 
 
 def orientation_of(word: ToggleWord) -> Orientation:
@@ -227,43 +207,6 @@ def admissible_conjugate(word: ToggleWord, arc: Arc) -> ToggleWord:
     return ToggleWord(word.n, rest + (arc,))
 
 
-def admissible_sequence_valid(word: ToggleWord, seq) -> bool:
-    """Check that each arc in ``seq`` is a source of the successively conjugated word."""
-    current = word
-    for arc in seq:
-        arc = tuple(arc)
-        if arc not in sources(current):
-            return False
-        current = admissible_conjugate(current, arc)
-    return True
-
-
-def torically_equivalent(o1: Orientation, o2: Orientation) -> bool:
-    """Whether o2 is reachable from o1 by source-to-sink flips.
-
-    This is the forward direction only: reachability implies the induced
-    words are conjugate, with no claim about the converse.
-    """
-    if o1.support != o2.support:
-        return False
-    seen = {o1.edges}
-    frontier = [o1]
-    while frontier:
-        nxt = []
-        for o in frontier:
-            if o.edges == o2.edges:
-                return True
-            for s in o.sources():
-                flipped = o.flip_source(s)
-                if flipped.edges not in seen:
-                    seen.add(flipped.edges)
-                    nxt.append(flipped)
-                    if len(seen) > 200_000:
-                        raise RuntimeError("toric reachability search too large")
-        frontier = nxt
-    return False
-
-
 def row_word(n: int) -> ToggleWord:
     """Toggle every arc row by row: (1,2), (1,3), ..., (1,n), (2,3), ...
 
@@ -287,11 +230,6 @@ def column_word(n: int) -> ToggleWord:
     return ToggleWord(
         n, tuple((i, j) for j in range(2, n + 1) for i in range(1, j))
     )
-
-
-def kreweras_inverse_word(n: int) -> ToggleWord:
-    """The word computing the inverse Kreweras complement; same as row_word."""
-    return row_word(n)
 
 
 def kreweras_word(n: int) -> ToggleWord:

@@ -8,8 +8,11 @@ about n = 6, or graphs of about 8 vertices.
 The one exception is :func:`independent_sets`: the package's plain
 depth-first enumeration over bitsets, kept as the oracle for the order and
 content of the memoised one at sizes the subset filters cannot reach.
+The edge-removal and toric-search helpers take the package's graph and
+orientation objects, but read only their public fields and accessors.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -149,6 +152,29 @@ def psi_v(edges, current, v):
     return 2 * (v in current) + sum(frozenset((v, w)) in edge_set for w in current)
 
 
+def without_edge(graph, v, w):
+    """``graph`` with the edge {v, w} left out (a graph of the same type)."""
+    kept = [e for e in graph.edges() if set(e) != {v, w}]
+    return type(graph)(graph.vertices, kept)
+
+
+def remove_edge(graph, u_set, edge):
+    """The paper's removal of one edge from a 2-cliquish pair (G, U): both
+    endpoints lie outside U and share no neighbour in U.  The edge-by-edge
+    oracle of ``indsets.skeletalize``."""
+    v, w = edge
+    if v in u_set or w in u_set:
+        raise ValueError(f"edge endpoints must avoid U; got ({v!r}, {w!r})")
+    if not graph.has_edge(v, w):
+        raise ValueError(f"edge ({v!r}, {w!r}) not present")
+    if set(graph.neighbors(v)) & set(graph.neighbors(w)) & set(u_set):
+        raise ValueError(
+            f"endpoints ({v!r}, {w!r}) share a neighbor in U; removal would "
+            f"break the two-neighbor condition"
+        )
+    return without_edge(graph, v, w)
+
+
 def graph_orbits(vertices, edges, word):
     """Orbits of a vertex word (application order) on the independent sets:
     each state not yet seen, in :func:`graph_independent_sets` order, starts
@@ -198,3 +224,36 @@ def catalan_rec(n):
     if n <= 1:
         return 1
     return sum(catalan_rec(k) * catalan_rec(n - 1 - k) for k in range(n))
+
+
+def flip_source(orientation, arc):
+    """An orientation (``support`` and directed ``edges``) with the source
+    ``arc`` turned into a sink by reversing all its edges."""
+    if any(b == arc for _, b in orientation.edges) or arc not in orientation.support:
+        raise ValueError(f"{arc} is not a source")
+    flipped = frozenset((b, a) if a == arc else (a, b) for a, b in orientation.edges)
+    return replace(orientation, edges=flipped)
+
+
+def torically_equivalent(o1, o2):
+    """Whether o2 is reachable from o1 by source-to-sink flips: a forward
+    breadth-first search that gives up past 200,000 orientations."""
+    if o1.support != o2.support:
+        return False
+    seen = {o1.edges}
+    frontier = [o1]
+    while frontier:
+        nxt = []
+        for o in frontier:
+            if o.edges == o2.edges:
+                return True
+            heads = {b for _, b in o.edges}
+            for s in o.support - heads:
+                flipped = flip_source(o, s)
+                if flipped.edges not in seen:
+                    seen.add(flipped.edges)
+                    nxt.append(flipped)
+                    if len(seen) > 200_000:
+                        raise RuntimeError("toric reachability search too large")
+        frontier = nxt
+    return False

@@ -298,6 +298,37 @@ def test_missing_required_option(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("kreweras", "4", "--partition", "1,2", "--prime", "--power", "2"),
+         "argument --power: not allowed with argument --prime"),
+        (("kreweras", "4", "--partition", "1,2", "--simion-ullman", "--prime"),
+         "argument --prime: not allowed with argument --simion-ullman"),
+        (("toggle", "4", "--arc", "1,2", "--word", "2,3"),
+         "argument --word: not allowed with argument --arc"),
+        (("toggle", "4", "--arc", "1,2", "--word-file", "w.txt"),
+         "argument --word-file: not allowed with argument --arc"),
+        (("toggle", "4", "--word", "2,3", "--word-file", "w.txt"),
+         "argument --word-file: not allowed with argument --word"),
+        (("orbits", "4", "--word", "2,3", "--word-file", "w.txt"),
+         "argument --word-file: not allowed with argument --word"),
+        (("homomesy", "4", "--word-file", "w.txt", "--word", "2,3", "--stat", "alpha"),
+         "argument --word: not allowed with argument --word-file"),
+        (("enumerate", "4", "--count-only", "--blocks"),
+         "argument --blocks: not allowed with argument --count-only"),
+    ],
+)
+def test_flags_that_would_be_ignored_are_usage_errors(
+    capsys, monkeypatch, tmp_path, argv, message
+):
+    # Each pair was accepted, and one flag of it silently dropped.
+    (tmp_path / "w.txt").write_text("1,2\n")
+    monkeypatch.chdir(tmp_path)
+    for fmt in ("text", "json"):
+        assert run(capsys, *argv, "--format", fmt) == (3, "", f"error: {message}\n")
+
+
 def test_unknown_statistic(capsys):
     code, _, err = run(capsys, "homomesy", "4", "--word", "1,2", "--stat", "zeta")
     assert code == 3 and "zeta" in err

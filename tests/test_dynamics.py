@@ -4,20 +4,23 @@ from fractions import Fraction
 import pytest
 
 import brute
+from nctoggles import dynamics
 from nctoggles.core import orbit_partition
 from nctoggles.dynamics import (
     Statistic,
     check_homomesy,
     chi_sum_conjugation_check,
+    chi_sums_by_orbit,
     even_orbits_check,
     orbit_average,
+    orbit_masks,
     orbits,
     parse_statistic,
     verify_arc_count_theorem,
 )
 from nctoggles.ncpartition import NCPartition, catalan, enumerate_nc
 from nctoggles.verify import NC6_COXETER_TEXT, sample_qualifying_word
-from nctoggles.words import ToggleWord, admissible_conjugate, apply_word, sources
+from nctoggles.words import ToggleWord, admissible_conjugate, apply_word, row_word, sources
 
 SAMPLE4 = ToggleWord.from_text(4, "3,4 1,2 2,3 1,4")
 NEGATIVE3 = ToggleWord.from_text(3, "1,3 2,3 1,2")
@@ -246,6 +249,28 @@ def test_chi_sum_conjugation_full_source_sequence_n4():
         source = sorted(sources(current))[0]
         assert chi_sum_conjugation_check(current, source)
         current = admissible_conjugate(current, source)
+
+
+def test_chi_sums_by_orbit_match_per_state_arc_counts():
+    rng = random.Random(17)
+    for n in range(2, 7):
+        slots = len(brute.all_arcs(n))
+        for word in (row_word(n), *(sample_qualifying_word(rng, n) for _ in range(3))):
+            masks = orbit_masks(word)
+            expected = [
+                tuple(sum(mask >> k & 1 for mask in orbit) for k in range(slots))
+                for orbit in masks
+            ]
+            assert chi_sums_by_orbit(masks, n) == expected, word
+
+
+@pytest.mark.parametrize("wrong", [lambda word: word, ToggleWord.inverse])
+def test_chi_sum_conjugation_fails_on_a_wrong_conjugate(monkeypatch, wrong):
+    # The toggle at the source does not carry the word's orbits onto the
+    # orbits of the word itself, nor of its inverse.
+    monkeypatch.setattr(dynamics, "admissible_conjugate", lambda word, arc: wrong(word))
+    for text, n in (("2,3 1,3 1,2", 3), ("3,4 2,4 1,4 2,3 1,3 1,2", 4)):
+        assert not chi_sum_conjugation_check(ToggleWord.from_text(n, text), (1, 2))
 
 
 def test_chi_sum_conjugation_rejects_non_source():

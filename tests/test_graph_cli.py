@@ -64,6 +64,9 @@ CASES = {
     "gen-skel9": ("gen", "--from-skeletal", "skel9.txt"),
     "gen-no-skeletal": ("gen", "fig10.txt"),
     "gen-loop": ("gen", "--from-skeletal", "loop.txt"),
+    "gen-file-and-skeletal": ("gen", "/nonexistent", "--from-skeletal", "k4me.txt"),
+    "skel-k4me-from-skeletal": ("skeletalize", "k4me.txt", "--from-skeletal", "/nonexistent"),
+    "check-k4me-from-skeletal": ("check-cliquish", "k4me.txt", "--from-skeletal", "k4me.txt"),
 }
 
 
@@ -297,6 +300,24 @@ GOLDEN = {
         3,
         '',
         "error: loop at 'b' not allowed in a simple graph\n",
+        None,
+    ),
+    'gen-file-and-skeletal': (
+        3,
+        '',
+        'error: gen reads its graph from --from-skeletal, not a file argument\n',
+        None,
+    ),
+    'skel-k4me-from-skeletal': (
+        3,
+        '',
+        'error: --from-skeletal does not apply to skeletalize\n',
+        None,
+    ),
+    'check-k4me-from-skeletal': (
+        3,
+        '',
+        'error: --from-skeletal does not apply to check-cliquish\n',
         None,
     ),
 }

@@ -1,5 +1,5 @@
 """Every module-level import in the package and in the tests is used, and
-no name the package re-exports hides one of its modules.
+every name the package re-exports is reached and hides none of its modules.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: deleting code
 must not leave its imports behind.  The package's ``__init__.py`` (whose
@@ -8,11 +8,13 @@ exempt.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nctoggles"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "nctoggles"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
@@ -85,13 +87,34 @@ def test_only_core_imports_numpy():
     assert importers == ["core.py"]
 
 
-def test_no_public_name_hides_a_module():
+def reexported() -> list[str]:
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    exported = {
+    return [
         a.asname or a.name
         for node in tree.body
         if isinstance(node, ast.ImportFrom)
         for a in node.names
-    }
+    ]
+
+
+def test_no_public_name_hides_a_module():
+    exported = set(reexported())
     assert exported >= {"orbits", "toggle"}
     assert exported.isdisjoint(p.stem for p in MODULES)
+
+
+def test_every_reexport_is_reached():
+    # A name only tests call belongs in the tests, not in the package's
+    # surface: each re-export must be read as a name or an attribute by a
+    # package module or by bench/, or be documented in README's backticks.
+    reached = set()
+    for path in [*MODULES, *sorted((ROOT / "bench").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        reached.update(re.findall(r"[A-Za-z_]\w*", span))
+    assert [name for name in reexported() if name not in reached] == []

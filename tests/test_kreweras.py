@@ -22,13 +22,14 @@ from nctoggles.kreweras import (
     simion_ullman,
 )
 from nctoggles.ncpartition import (
+    BlockPartition,
     EnumerationLimitError,
     InvalidPartitionError,
     NCPartition,
     arc_index,
     enumerate_nc,
 )
-from nctoggles.words import apply_word, kreweras_inverse_word, kreweras_word
+from nctoggles.words import apply_word, kreweras_word, row_word
 
 PI8 = NCPartition(8, [(2, 4), (4, 5), (6, 8)])
 
@@ -114,7 +115,7 @@ def test_cached_stepper_matches_the_word():
 
 def test_prime_three_routes_agree():
     for n in range(2, 7):
-        word = kreweras_inverse_word(n)
+        word = row_word(n)
         for p in enumerate_nc(n):
             prime = kreweras_prime(p)
             assert prime == kreweras_prime_oracle(p)
@@ -205,13 +206,13 @@ def test_relabel_requires_bijection():
 
 
 def block_route_relabel(partition, mapping):
-    """``relabel`` as first written: through blocks and ``from_blocks``."""
+    """``relabel`` as first written: through blocks and their arc diagram."""
     n = partition.n
     image = sorted(mapping(v) for v in range(1, n + 1))
     if image != list(range(1, n + 1)):
         raise ValueError("mapping is not a bijection of 1..n")
     blocks = [tuple(sorted(mapping(v) for v in block)) for block in partition.blocks()]
-    return NCPartition.from_blocks(blocks, n)
+    return BlockPartition(n, blocks).to_arcs()
 
 
 def outcome(relabeling, partition, mapping):

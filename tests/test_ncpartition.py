@@ -8,15 +8,10 @@ from nctoggles.ncpartition import (
     InvalidPartitionError,
     NCPartition,
     ViolationKind,
-    arc_count,
     arc_index,
-    arcs_to_blocks,
-    block_count,
-    blocks_to_arcs,
     catalan,
     enumerate_nc,
     index_arc,
-    is_refinement,
     validate,
 )
 
@@ -102,7 +97,7 @@ def test_ground_set_bounds():
 def test_blocks_of_running_example():
     p = NCPartition(10, FIG_ARCS)
     assert p.blocks() == ((1, 4, 5), (2,), (3,), (6,), (7, 10), (8, 9))
-    assert arcs_to_blocks(p).blocks == p.blocks()
+    assert p.block_partition().blocks == p.blocks()
 
 
 def test_blocks_empty_and_eight_point_example():
@@ -115,7 +110,7 @@ def test_block_count_is_n_minus_arc_count():
     for n in range(7):
         for arcs in brute.all_partitions(n):
             p = NCPartition(n, sorted(arcs))
-            assert arc_count(p) + block_count(p) == n
+            assert p.arc_count + p.block_count == n
             assert p.blocks() == tuple(
                 tuple(sorted(b))
                 for b in sorted(brute.blocks(n, arcs), key=min)
@@ -124,9 +119,9 @@ def test_block_count_is_n_minus_arc_count():
 
 def test_blocks_to_arcs_examples():
     bp = BlockPartition(10, [(1, 4, 5), (2,), (3,), (6,), (7, 10), (8, 9)])
-    assert blocks_to_arcs(bp).arcs() == tuple(sorted(FIG_ARCS))
-    assert blocks_to_arcs(BlockPartition(3, [(1,), (2,), (3,)])).arcs() == ()
-    assert blocks_to_arcs(BlockPartition(3, [(1, 2, 3)])).arcs() == ((1, 2), (2, 3))
+    assert bp.to_arcs().arcs() == tuple(sorted(FIG_ARCS))
+    assert BlockPartition(3, [(1,), (2,), (3,)]).to_arcs().arcs() == ()
+    assert BlockPartition(3, [(1, 2, 3)]).to_arcs().arcs() == ((1, 2), (2, 3))
 
 
 def test_blocks_to_arcs_rejects_crossing():
@@ -134,7 +129,6 @@ def test_blocks_to_arcs_rejects_crossing():
     with pytest.raises(InvalidPartitionError) as err:
         bp.to_arcs()
     assert err.value.violation.kind is ViolationKind.CROSSING
-    assert not bp.is_noncrossing()
 
 
 def test_block_partition_validation():
@@ -150,7 +144,7 @@ def test_roundtrip_blocks_arcs():
     for n in range(9):
         for p in enumerate_nc(n):
             assert validate(n, p.arcs()) is None
-            assert blocks_to_arcs(arcs_to_blocks(p)) == p
+            assert p.block_partition().to_arcs() == p
 
 
 def test_each_block_contributes_size_minus_one_arcs():
@@ -189,28 +183,6 @@ def test_enumeration_ceiling():
         enumerate_nc(6, limit=5)
 
 
-def test_is_refinement_examples():
-    finest = BlockPartition(3, [(1,), (2,), (3,)])
-    coarsest = BlockPartition(3, [(1, 2, 3)])
-    assert is_refinement(finest, coarsest)
-    assert not is_refinement(coarsest, finest)
-    left = BlockPartition(3, [(1, 3), (2,)])
-    assert is_refinement(left, coarsest)
-    a = BlockPartition(3, [(1, 2), (3,)])
-    b = BlockPartition(3, [(1, 3), (2,)])
-    assert not is_refinement(a, b)
-    with pytest.raises(ValueError):
-        is_refinement(finest, BlockPartition(4, [(1, 2, 3, 4)]))
-
-
-def test_refinement_without_arc_subset():
-    # one arc (1,3) refines the single block yet is not an arc subset of it
-    single = NCPartition(3, [(1, 3)])
-    chain = NCPartition(3, [(1, 2), (2, 3)])
-    assert is_refinement(single.block_partition(), chain.block_partition())
-    assert not set(single.arcs()) <= set(chain.arcs())
-
-
 def test_text_serialization():
     p = NCPartition(10, FIG_ARCS)
     assert p.to_text() == "10; (1,4) (4,5) (7,10) (8,9)"
@@ -230,27 +202,12 @@ def test_json_roundtrip():
     p = NCPartition(10, FIG_ARCS)
     obj = p.to_json_dict()
     assert obj == {"n": 10, "arcs": [[1, 4], [4, 5], [7, 10], [8, 9]]}
-    assert NCPartition.from_json_dict(obj) == p
 
 
 @given(st.sampled_from(enumerate_nc(6)))
 def test_serialization_roundtrips(p):
     assert NCPartition.from_text(p.to_text()) == p
-    assert NCPartition.from_json_dict(p.to_json_dict()) == p
     assert BlockPartition.from_text(p.block_partition().to_text(), 6).to_arcs() == p
-
-
-@given(st.sampled_from(enumerate_nc(6)))
-def test_mask_roundtrip(p):
-    assert NCPartition.from_mask(6, p.mask) == p
-
-
-def test_from_mask_rejects_conflicts():
-    bad = (1 << arc_index(4, (1, 3))) | (1 << arc_index(4, (2, 4)))
-    with pytest.raises(InvalidPartitionError):
-        NCPartition.from_mask(4, bad)
-    with pytest.raises(ValueError):
-        NCPartition.from_mask(4, 1 << 6)
 
 
 def test_equality_and_hash():

@@ -267,4 +267,4 @@ def test_base_graph_neighbors_and_text():
     g = base_graph(3)
     assert set(g.neighbors((1, 3))) == {(1, 2), (2, 3)}
     assert g.neighbors((1, 2)) == ((1, 3),)
-    assert g.edge_count() == 2
+    assert len(g.edges()) == 2

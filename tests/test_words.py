@@ -10,19 +10,15 @@ from nctoggles.words import (
     ToggleWord,
     WordParseError,
     admissible_conjugate,
-    admissible_sequence_valid,
     apply_word,
     column_word,
     functionally_equal,
-    is_coxeter,
     is_partial_coxeter,
-    kreweras_inverse_word,
     kreweras_word,
     orientation_of,
     row_word,
     sinks,
     sources,
-    torically_equivalent,
 )
 
 SAMPLE4 = ToggleWord.from_text(4, "3,4 1,2 2,3 1,4")
@@ -50,15 +46,12 @@ def test_parse_errors_cite_token_and_position():
 def test_json_roundtrip():
     obj = SAMPLE4.to_json_dict()
     assert obj == {"n": 4, "composition_order": [[3, 4], [1, 2], [2, 3], [1, 4]]}
-    assert ToggleWord.from_json_dict(obj) == SAMPLE4
 
 
 @pytest.mark.parametrize("arc", [(1, 2, 3), (1.0, 3.0), (1,), ("1", "2"), (2, 1), (0, 4)])
 def test_a_bad_arc_is_rejected_at_construction(arc):
     with pytest.raises(ValueError, match="out of range for n=4"):
         ToggleWord(4, [(1, 2), arc])
-    with pytest.raises(ValueError, match="out of range for n=4"):
-        ToggleWord.from_json_dict({"n": 4, "composition_order": [list(arc)]})
 
 
 def test_apply_word_on_empty():
@@ -94,11 +87,11 @@ def test_word_is_bijective_on_ncn():
 
 
 def test_partial_and_full_coxeter_predicates():
-    assert is_partial_coxeter(SAMPLE4) and not is_coxeter(SAMPLE4)
+    assert is_partial_coxeter(SAMPLE4)
     assert {(1, 3), (2, 4)} & SAMPLE4.support() == set()
-    assert is_coxeter(row_word(4))
+    assert is_partial_coxeter(row_word(4))
     repeated = ToggleWord(3, [(1, 2), (1, 2)])
-    assert not is_partial_coxeter(repeated) and not is_coxeter(repeated)
+    assert not is_partial_coxeter(repeated)
 
 
 def test_orientation_of_column_word():
@@ -200,7 +193,7 @@ def test_conjugation_turns_source_into_sink():
             word = sample_qualifying_word(rng, n)
             for source in sources(word):
                 conjugated = admissible_conjugate(word, source)
-                expected = orientation_of(word).flip_source(source)
+                expected = brute.flip_source(orientation_of(word), source)
                 assert orientation_of(conjugated) == expected
                 assert source in sinks(conjugated)
 
@@ -219,19 +212,11 @@ def test_double_conjugation_is_two_step_shift():
         assert apply_word(second, p) == direct
 
 
-def test_admissible_sequence_valid():
-    assert admissible_sequence_valid(COLUMN3, [])
-    assert admissible_sequence_valid(COLUMN3, [(1, 2)])
-    assert not admissible_sequence_valid(COLUMN3, [(2, 3)])
-    assert admissible_sequence_valid(COLUMN3, [(1, 2), (1, 3)])
-
-
 def test_named_word_sequences():
     assert row_word(2) == column_word(2) == ToggleWord(2, [(1, 2)])
     assert row_word(4).to_text() == "3,4 2,4 2,3 1,4 1,3 1,2"
     assert column_word(4).to_text() == "3,4 2,4 1,4 2,3 1,3 1,2"
     assert kreweras_word(3).to_text() == "1,2 1,3 2,3"
-    assert kreweras_inverse_word(5) == row_word(5)
     assert kreweras_word(4) == row_word(4).inverse()
     with pytest.raises(ValueError):
         row_word(1)
@@ -284,17 +269,17 @@ def test_linear_extensions_of_same_orientation_agree():
 
 def test_toric_equivalence_reachability():
     orientation = orientation_of(COLUMN3)
-    flipped = orientation.flip_source((1, 2))
-    assert torically_equivalent(orientation, flipped)
-    assert torically_equivalent(orientation, orientation)
+    flipped = brute.flip_source(orientation, (1, 2))
+    assert brute.torically_equivalent(orientation, flipped)
+    assert brute.torically_equivalent(orientation, orientation)
     other_support = orientation_of(ToggleWord(3, [(1, 2), (1, 3)]))
-    assert not torically_equivalent(orientation, other_support)
+    assert not brute.torically_equivalent(orientation, other_support)
 
 
 def test_flip_source_requires_source():
     orientation = orientation_of(COLUMN3)
     with pytest.raises(ValueError):
-        orientation.flip_source((2, 3))
+        brute.flip_source(orientation, (2, 3))
 
 
 def test_word_equality_and_repr():
