@@ -14,6 +14,7 @@ NCTOGGLES_MAX_ENUM environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -113,9 +114,7 @@ def _parse_partition(n: int, text: str) -> NCPartition:
 
 
 def _load_word(args) -> ToggleWord:
-    text = _read_text(args.word_file) if args.word_file else args.word
-    if text is None:
-        raise _UsageError("a word is required (--word or --word-file)")
+    text = args.word if args.word_file is None else _read_text(args.word_file)
     return ToggleWord.from_text(args.n, text)
 
 
@@ -138,7 +137,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_toggle(args) -> int:
     partition = _parse_partition(args.n, args.partition)
-    if args.arc:
+    if args.arc is not None:
         arcs = parse_arcs(args.arc)
         if len(arcs) != 1:
             raise _UsageError(f"--arc expects one arc, got {args.arc!r}")
@@ -194,6 +193,8 @@ def _cmd_kreweras(args) -> int:
     if args.oracle and (args.simion_ullman or args.power is not None):
         flag = "--simion-ullman" if args.simion_ullman else "--power"
         raise _UsageError(f"--oracle does not apply to {flag}")
+    if args.max_n is not None and not args.oracle:
+        raise _UsageError("--max-n applies only to --oracle")
     partition = _parse_partition(args.n, args.partition)
     if args.simion_ullman:
         result = simion_ullman(partition)
@@ -214,22 +215,21 @@ def _cmd_kreweras(args) -> int:
             result = kreweras(partition)
         label = "complement"
 
+    blocks = result.block_partition().to_text()
+    layouts = {}
+    if args.circular:
+        layouts["circular"] = circular_text(result)
+    if args.dot:
+        layouts["dot"] = circular_dot(result)
     payload = {
         "input": partition.to_json_dict(),
         "operation": label,
         "output": result.to_json_dict(),
-        "blocks": result.block_partition().to_text(),
+        "blocks": blocks,
+        **layouts,
     }
-
-    def render() -> str:
-        lines = [result.to_text(), result.block_partition().to_text()]
-        if args.circular:
-            lines.append(circular_text(result))
-        if args.dot:
-            lines.append(circular_dot(result))
-        return "\n".join(lines)
-
-    _emit(args, render, payload)
+    lines = [result.to_text(), blocks, *layouts.values()]
+    _emit(args, lambda: "\n".join(lines), payload)
     return OK
 
 
@@ -238,7 +238,10 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _resolve_uset(graph: SimpleGraph, args):
+def _cliquish_graph(args, path: str):
+    """The graph in ``path`` and its set U: ``--uset`` checked, else
+    searched for.  U is None when the graph is not 2-cliquish."""
+    graph = SimpleGraph.from_text(_read_text(path))
     if args.uset:
         by_name = {str(v): v for v in graph.vertices}
         u_set = frozenset(by_name[tok] for tok in args.uset.split() if tok in by_name)
@@ -247,92 +250,85 @@ def _resolve_uset(graph: SimpleGraph, args):
             raise _UsageError(f"--uset names unknown vertices {missing}")
         if check_cliquish_with(graph, u_set) is None:
             raise _UsageError("--uset is not a valid 2-cliquish witness")
-        return u_set
+        return graph, u_set
     cert = is_2_cliquish(graph)
+    return graph, None if cert is None else cert.u_set
+
+
+def _not_cliquish(args, code: int) -> int:
+    _emit(args, lambda: "not 2-cliquish", {"cliquish": False})
+    return code
+
+
+def _cmd_check_cliquish(args) -> int:
+    cert = is_2_cliquish(SimpleGraph.from_text(_read_text(args.file)))
     if cert is None:
-        return None
-    return cert.u_set
+        return _not_cliquish(args, FALSIFIED)
+    u_names = sorted(str(u) for u in cert.u_set)
+    payload = {
+        "cliquish": True,
+        "U": u_names,
+        "A": cert.A,
+        "two_u_neighbors": {
+            str(v): sorted(map(str, pair)) for v, pair in cert.u_neighbors.items()
+        },
+    }
+    _emit(args, lambda: "2-cliquish with U = {" + " ".join(u_names) + "}", payload)
+    return OK
 
 
-def _cmd_graph(args) -> int:
-    if args.uset is not None and args.action in ("check-cliquish", "from-multigraph"):
-        raise _UsageError(f"--uset does not apply to {args.action}")
-    if args.from_skeletal is not None and args.action != "gen":
-        raise _UsageError(f"--from-skeletal does not apply to {args.action}")
-    if args.action == "gen":
-        if not args.from_skeletal:
-            raise _UsageError("gen requires --from-skeletal FILE")
-        if args.file is not None:
-            raise _UsageError("gen reads its graph from --from-skeletal, not a file argument")
-        graph = SimpleGraph.from_text(_read_text(args.from_skeletal))
-    else:
-        if not args.file:
-            raise _UsageError(f"{args.action} requires a graph file")
-        if args.action == "from-multigraph":
-            multigraph = Multigraph.from_text(_read_text(args.file))
-        else:
-            graph = SimpleGraph.from_text(_read_text(args.file))
+def _cmd_skeletalize(args) -> int:
+    graph, u_set = _cliquish_graph(args, args.file)
+    if u_set is None:
+        return _not_cliquish(args, PRECONDITION)
+    result = skeletalize(graph, u_set)
+    _emit(args, result.to_text, {"graph": result.to_text()})
+    return OK
 
-    if args.action == "check-cliquish":
-        cert = is_2_cliquish(graph)
-        if cert is None:
-            _emit(args, lambda: "not 2-cliquish", {"cliquish": False})
-            return FALSIFIED
-        u_names = sorted(str(u) for u in cert.u_set)
-        payload = {
-            "cliquish": True,
-            "U": u_names,
-            "A": cert.A,
-            "two_u_neighbors": {
-                str(v): sorted(map(str, pair)) for v, pair in cert.u_neighbors.items()
-            },
-        }
-        _emit(args, lambda: "2-cliquish with U = {" + " ".join(u_names) + "}", payload)
-        return OK
 
-    u_set = _resolve_uset(graph, args) if args.action != "from-multigraph" else None
-    if args.action != "from-multigraph" and u_set is None:
-        _emit(args, lambda: "not 2-cliquish", {"cliquish": False})
-        return PRECONDITION
+def _cmd_to_multigraph(args) -> int:
+    graph, u_set = _cliquish_graph(args, args.file)
+    if u_set is None:
+        return _not_cliquish(args, PRECONDITION)
+    multigraph = skeletal_to_multigraph(skeletalize(graph, u_set), u_set)
+    summary = (
+        f"|V| = {multigraph.n_vertices}, |E| = {multigraph.n_edges}, "
+        f"|V|+|E| = {multigraph.n_vertices + multigraph.n_edges}"
+    )
+    payload = {
+        "multigraph": multigraph.to_text(),
+        "vertices": multigraph.n_vertices,
+        "edges": multigraph.n_edges,
+    }
+    _emit(args, lambda: multigraph.to_text() + "\n" + summary, payload)
+    return OK
 
-    if args.action == "skeletalize":
-        result = skeletalize(graph, u_set)
-        _emit(args, result.to_text, {"graph": result.to_text()})
-        return OK
-    if args.action == "to-multigraph":
-        multigraph = skeletal_to_multigraph(skeletalize(graph, u_set), u_set)
-        summary = (
-            f"|V| = {multigraph.n_vertices}, |E| = {multigraph.n_edges}, "
-            f"|V|+|E| = {multigraph.n_vertices + multigraph.n_edges}"
-        )
-        payload = {
-            "multigraph": multigraph.to_text(),
-            "vertices": multigraph.n_vertices,
-            "edges": multigraph.n_edges,
-        }
-        _emit(args, lambda: multigraph.to_text() + "\n" + summary, payload)
-        return OK
-    if args.action == "from-multigraph":
-        graph, u_set = multigraph_to_skeletal(multigraph)
-        u_names = sorted(str(u) for u in u_set)
-        payload = {"graph": graph.to_text(), "U": u_names}
-        _emit(
-            args,
-            lambda: graph.to_text() + "\nU = {" + " ".join(u_names) + "}",
-            payload,
-        )
-        return OK
-    if args.action == "gen":
-        graphs = enumerate_2cliquish_from_skeletal(graph, u_set)
-        payload = {"count": len(graphs), "graphs": [g.to_text() for g in graphs]}
-        _emit(
-            args,
-            lambda: f"{len(graphs)} graphs up to isomorphism\n\n"
-            + "\n\n".join(g.to_text() for g in graphs),
-            payload,
-        )
-        return OK
-    raise _UsageError(f"unknown graph action {args.action!r}")
+
+def _cmd_from_multigraph(args) -> int:
+    graph, u_set = multigraph_to_skeletal(Multigraph.from_text(_read_text(args.file)))
+    u_names = sorted(str(u) for u in u_set)
+    payload = {"graph": graph.to_text(), "U": u_names}
+    _emit(
+        args,
+        lambda: graph.to_text() + "\nU = {" + " ".join(u_names) + "}",
+        payload,
+    )
+    return OK
+
+
+def _cmd_gen(args) -> int:
+    graph, u_set = _cliquish_graph(args, args.from_skeletal)
+    if u_set is None:
+        return _not_cliquish(args, PRECONDITION)
+    graphs = enumerate_2cliquish_from_skeletal(graph, u_set)
+    payload = {"count": len(graphs), "graphs": [g.to_text() for g in graphs]}
+    _emit(
+        args,
+        lambda: f"{len(graphs)} graphs up to isomorphism\n\n"
+        + "\n\n".join(g.to_text() for g in graphs),
+        payload,
+    )
+    return OK
 
 
 def _cmd_verify_all(args) -> int:
@@ -353,23 +349,26 @@ def _cmd_verify_all(args) -> int:
     return OK if payload["all_passed"] else FALSIFIED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command; it alone decides which options each
+    command takes, and is built once per process."""
     parser = _Parser(prog="nctoggles", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=None, with_max_n=True):
+    def common(p, func, with_max_n=True):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=seed_default)
         if with_max_n:
             p.add_argument(
                 "--max-n", type=int, default=None,
                 help="enumeration ceiling override (env NCTOGGLES_MAX_ENUM)",
             )
+        p.set_defaults(func=func)
 
     def word_options(p, *more):
-        # One source of the toggles: argparse rejects a second one.
-        group = p.add_mutually_exclusive_group()
+        # Exactly one source of the toggles: argparse rejects none or two.
+        group = p.add_mutually_exclusive_group(required=True)
         for flag in (*more, "--word", "--word-file"):
             group.add_argument(flag)
 
@@ -378,29 +377,25 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--count-only", action="store_true")
     group.add_argument("--blocks", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_enumerate)
+    common(p, _cmd_enumerate)
 
     p = sub.add_parser("toggle", help="apply one toggle or a word to a partition")
     p.add_argument("n", type=int)
     p.add_argument("--partition", default="")
     word_options(p, "--arc")
-    common(p, with_max_n=False)
-    p.set_defaults(func=_cmd_toggle)
+    common(p, _cmd_toggle, with_max_n=False)
 
     p = sub.add_parser("orbits", help="orbit decomposition of a toggle word")
     p.add_argument("n", type=int)
     word_options(p)
     p.add_argument("--sizes-only", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_orbits)
+    common(p, _cmd_orbits)
 
     p = sub.add_parser("homomesy", help="check a statistic for homomesy")
     p.add_argument("n", type=int)
     word_options(p)
     p.add_argument("--stat", required=True, help="alpha|beta|card|chi:i,j|psi:k")
-    common(p)
-    p.set_defaults(func=_cmd_homomesy)
+    common(p, _cmd_homomesy)
 
     p = sub.add_parser("kreweras", help="Kreweras complement and relatives")
     p.add_argument("n", type=int)
@@ -412,28 +407,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="use the geometric search")
     p.add_argument("--circular", action="store_true")
     p.add_argument("--dot", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_kreweras)
+    common(p, _cmd_kreweras)
 
-    p = sub.add_parser("graph", help="2-cliquish and skeletal graph tools")
-    p.add_argument(
-        "action",
-        choices=(
-            "check-cliquish", "skeletalize", "to-multigraph",
-            "from-multigraph", "gen",
-        ),
-    )
-    p.add_argument("file", nargs="?")
-    p.add_argument("--from-skeletal")
-    p.add_argument("--uset", help="pin the independent set U (space-separated labels)")
-    common(p, with_max_n=False)
-    p.set_defaults(func=_cmd_graph)
+    graph = sub.add_parser("graph", help="2-cliquish and skeletal graph tools")
+    actions = graph.add_subparsers(dest="action", required=True)
+    graph_options = {
+        "file": {"help": "the graph (for from-multigraph, the multigraph)"},
+        "--from-skeletal": {"required": True, "metavar": "FILE"},
+        "--uset": {"help": "pin the independent set U (space-separated labels)"},
+    }
+    for name, func, options, help_text in (
+        ("check-cliquish", _cmd_check_cliquish, ("file",),
+         "search for a 2-cliquish set U"),
+        ("skeletalize", _cmd_skeletalize, ("file", "--uset"),
+         "remove every removable edge"),
+        ("to-multigraph", _cmd_to_multigraph, ("file", "--uset"),
+         "collapse to the multigraph"),
+        ("from-multigraph", _cmd_from_multigraph, ("file",),
+         "expand into the skeletal graph"),
+        ("gen", _cmd_gen, ("--from-skeletal", "--uset"),
+         "all 2-cliquish graphs over a skeletal one"),
+    ):
+        p = actions.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, **graph_options[option])
+        common(p, func, with_max_n=False)
 
     p = sub.add_parser("verify-all", help="run the full verification suite")
     p.add_argument("--max-n", type=int, default=7)
     p.add_argument("--words", type=int, default=DEFAULT_WORDS)
-    common(p, seed_default=DEFAULT_SEED, with_max_n=False)
-    p.set_defaults(func=_cmd_verify_all)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    common(p, _cmd_verify_all, with_max_n=False)
     return parser
 
 

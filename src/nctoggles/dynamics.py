@@ -114,6 +114,14 @@ _LinearForm = tuple[int, int, tuple[tuple[int, int], ...]]
 _ARITY = {"alpha": 0, "beta": 0, "card": 0, "chi": 2, "psi": 1}
 
 
+def psi_terms(adj, v: int, weight: int = 1) -> tuple[tuple[int, int], ...]:
+    """psi_v, times ``weight``, as popcount terms ``(mask, weight)`` over
+    the graph table ``adj``: twice whether v is in the set, plus how many
+    of its neighbours are.  On the base graph of NC(n), psi_k is psi_v at
+    the short arc (k, k+1)."""
+    return ((1 << v, 2 * weight), (adj[v], weight))
+
+
 class Statistic:
     """A formal rational-linear combination of basic partition statistics.
 
@@ -208,8 +216,7 @@ class Statistic:
                 k = key[1]
                 if not (1 <= k <= n - 1):
                     raise ValueError(f"psi index {k} out of range for n={n}")
-                s = arc_index(n, (k, k + 1))
-                parts += [(1 << s, 2 * c), (conflict_masks(n)[s], c)]
+                parts += psi_terms(conflict_masks(n), arc_index(n, (k, k + 1)), c)
         weights: dict[int, int] = {}
         for mask, w in parts:  # one term per mask, zero weights dropped
             weights[mask] = weights.get(mask, 0) + w

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import independent_sets, stepper, word_orbits
-from .dynamics import HomomesyReport, homomesy_report
+from .dynamics import HomomesyReport, homomesy_report, psi_terms
 from .ncpartition import arc_slots, arcs_conflict, index_arc
 
 
@@ -300,8 +300,7 @@ def verify_cardinality_homomesy(
     full = (1 << graph.n_vertices) - 1
     stats = [("card", (1, 0, ((full, 1),)), Fraction(cert.A, 2))]
     for u in sorted(cert.u_set, key=str):
-        k = graph.index_of(u)
-        psi = (1, 0, ((1 << k, 2), (graph.adj[k], 1)))
+        psi = (1, 0, psi_terms(graph.adj, graph.index_of(u)))
         stats.append((f"psi:{u}", psi, Fraction(1)))
     space = f"ind(G) on {graph.n_vertices} vertices"
     return homomesy_report(vertex_word_text(word), space, orbits, stats, precondition)

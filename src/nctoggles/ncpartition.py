@@ -143,6 +143,13 @@ def _check_arc_range(n: int, arc) -> Violation | None:
     return None
 
 
+def check_arc(n: int, arc) -> None:
+    """Raise ValueError unless ``arc`` is a tuple of ints (i, j) with
+    1 <= i < j <= n."""
+    if _check_arc_range(n, arc) is not None:
+        raise ValueError(f"arc {arc} out of range for n={n}")
+
+
 def _pair_violation(a: Arc, b: Arc) -> ViolationKind | None:
     if a[0] == b[0]:
         return ViolationKind.LEFT_NESTING

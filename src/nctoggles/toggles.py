@@ -22,6 +22,7 @@ from .ncpartition import (
     NCPartition,
     arc_index,
     catalan,
+    check_arc,
     conflict_masks,
     enumerate_masks,
 )
@@ -76,8 +77,7 @@ def commutes(a: Arc, b: Arc) -> bool:
 def toggle(partition: NCPartition, arc: Arc) -> NCPartition:
     """Apply the toggle at ``arc``: remove it, add it if legal, else no-op."""
     n = partition.n
-    if not (1 <= arc[0] < arc[1] <= n):
-        raise ValueError(f"arc {arc} out of range for n={n}")
+    check_arc(n, arc)
     return NCPartition._raw(
         n, stepper(conflict_masks(n), [arc_index(n, arc)])(partition.mask)
     )
@@ -90,9 +90,8 @@ def pair_order(a: Arc, b: Arc, n: int) -> int:
     non-commuting ones.  ``pair_order_observed`` computes the same number
     from the actual permutation and serves as the oracle.
     """
-    for arc in (a, b):
-        if not (1 <= arc[0] < arc[1] <= n):
-            raise ValueError(f"arc {arc} out of range for n={n}")
+    check_arc(n, a)
+    check_arc(n, b)
     if a == b:
         return 1
     return 2 if commutes(a, b) else 6
@@ -114,10 +113,8 @@ def noncommuting_count(n: int, arc: Arc) -> int:
 
     For an arc of width m = j - i this is m(n+1-m) - 2.
     """
-    i, j = arc
-    if not (1 <= i < j <= n):
-        raise ValueError(f"arc {arc} out of range for n={n}")
-    m = j - i
+    check_arc(n, arc)
+    m = arc[1] - arc[0]
     return m * (n + 1 - m) - 2
 
 

@@ -96,6 +96,15 @@ def sample_qualifying_word(rng: random.Random, n: int) -> ToggleWord:
     return ToggleWord(n, arcs)
 
 
+def _word_sweep(ns, num_words: int, seed: int):
+    """``(n, word)`` for ``num_words`` qualifying words at each n of ``ns``
+    in turn, all drawn from one generator seeded with ``seed``."""
+    rng = random.Random(seed)
+    for n in ns:
+        for _ in range(num_words):
+            yield n, sample_qualifying_word(rng, n)
+
+
 def sample_coxeter_word(rng: random.Random, n: int) -> ToggleWord:
     """A uniformly shuffled Coxeter word (every arc exactly once)."""
     arcs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
@@ -143,23 +152,42 @@ def check_arc_count_homomesy(
     num_words: int = DEFAULT_WORDS,
     seed: int = DEFAULT_SEED,
 ) -> str:
-    rng = random.Random(seed)
     checked = 0
-    for n in range(n_lo, n_hi + 1):
-        for _ in range(num_words):
-            word = sample_qualifying_word(rng, n)
-            report = dynamics.verify_arc_count_theorem(word)
-            beta_report = report.sub_reports[0]
-            if not (report.holds and beta_report.holds):
-                raise CheckFailed(
-                    f"seed={seed} n={n} word '{word.to_text()}': "
-                    f"alpha {report.verdict}; beta {beta_report.verdict}"
-                )
-            checked += 1
+    for n, word in _word_sweep(range(n_lo, n_hi + 1), num_words, seed):
+        report = dynamics.verify_arc_count_theorem(word)
+        beta_report = report.sub_reports[0]
+        if not (report.holds and beta_report.holds):
+            raise CheckFailed(
+                f"seed={seed} n={n} word '{word.to_text()}': "
+                f"alpha {report.verdict}; beta {beta_report.verdict}"
+            )
+        checked += 1
     return (
         f"{checked} words (n={n_lo}..{n_hi}, seed={seed}): alpha (n-1)/2-mesic, "
         f"beta (n+1)/2-mesic"
     )
+
+
+def _psi_tables(n: int) -> list:
+    """``(k, psi_k, bounded)`` for each k on NC(n), with psi_k a lookup in
+    a value table and ``bounded`` whether every value is at most 2.
+
+    psi_k is psi_v of the base graph at the short arc (k, k+1).  It
+    depends on the state alone, so each k gets one value table per n.
+    """
+    conflicts = ncpartition.conflict_masks(n)
+    tables = []
+    for k in range(1, n):
+        s = ncpartition.arc_index(n, (k, k + 1))
+        nbrs = conflicts[s]
+        table = {
+            mask: 2 * (mask >> s & 1) + (mask & nbrs).bit_count()
+            for mask in enumerate_masks(n)
+        }
+        # With every value in {0, 1, 2}, #zeros == #twos exactly when
+        # the orbit sum is |O|; otherwise both are counted.
+        tables.append((k, table.__getitem__, max(table.values()) <= 2))
+    return tables
 
 
 @_check("psi_balance")
@@ -169,40 +197,25 @@ def check_psi_balance(
     num_words: int = DEFAULT_WORDS,
     seed: int = DEFAULT_SEED,
 ) -> str:
-    rng = random.Random(seed)
+    ns = range(n_lo, n_hi + 1)
+    tables = {n: _psi_tables(n) for n in ns}
     checked = 0
-    for n in range(n_lo, n_hi + 1):
-        # psi_k is psi_v of the base graph at the short arc (k, k+1).  It
-        # depends on the state alone, so each k gets one value table per n.
-        conflicts = ncpartition.conflict_masks(n)
-        tables = []
-        for k in range(1, n):
-            s = ncpartition.arc_index(n, (k, k + 1))
-            nbrs = conflicts[s]
-            table = {
-                mask: 2 * (mask >> s & 1) + (mask & nbrs).bit_count()
-                for mask in enumerate_masks(n)
-            }
-            # With every value in {0, 1, 2}, #zeros == #twos exactly when
-            # the orbit sum is |O|; otherwise both are counted.
-            tables.append((k, table.__getitem__, max(table.values()) <= 2))
-        for _ in range(num_words):
-            word = sample_qualifying_word(rng, n)
-            orbit_list = dynamics.orbit_masks(word)
-            for k, psi, bounded in tables:
-                for orbit in orbit_list:
-                    total = sum(map(psi, orbit))
-                    if bounded and total == len(orbit):
-                        continue
-                    values = list(map(psi, orbit))
-                    zeros, twos = values.count(0), values.count(2)
-                    if total != len(orbit) or zeros != twos:
-                        raise CheckFailed(
-                            f"seed={seed} n={n} k={k} word '{word.to_text()}': "
-                            f"orbit sum {total} over {len(orbit)}, "
-                            f"#zeros {zeros} vs #twos {twos}"
-                        )
-            checked += 1
+    for n, word in _word_sweep(ns, num_words, seed):
+        orbit_list = dynamics.orbit_masks(word)
+        for k, psi, bounded in tables[n]:
+            for orbit in orbit_list:
+                total = sum(map(psi, orbit))
+                if bounded and total == len(orbit):
+                    continue
+                values = list(map(psi, orbit))
+                zeros, twos = values.count(0), values.count(2)
+                if total != len(orbit) or zeros != twos:
+                    raise CheckFailed(
+                        f"seed={seed} n={n} k={k} word '{word.to_text()}': "
+                        f"orbit sum {total} over {len(orbit)}, "
+                        f"#zeros {zeros} vs #twos {twos}"
+                    )
+        checked += 1
     return (
         f"{checked} words (n={n_lo}..{n_hi}, seed={seed}): psi_k 1-mesic with "
         f"balanced 0/2 counts per orbit"
@@ -295,18 +308,15 @@ def check_row_column_identity(n_max: int = 7) -> str:
 def check_even_orbits(
     ns=(4, 6, 8), num_words: int = DEFAULT_WORDS, seed: int = DEFAULT_SEED
 ) -> str:
-    rng = random.Random(seed)
     checked = 0
-    for n in ns:
-        for _ in range(num_words):
-            word = sample_qualifying_word(rng, n)
-            all_even, witness = dynamics.even_orbits_check(word)
-            if not all_even:
-                raise CheckFailed(
-                    f"seed={seed} n={n} word '{word.to_text()}': odd orbit of "
-                    f"size {witness.size}"
-                )
-            checked += 1
+    for n, word in _word_sweep(ns, num_words, seed):
+        all_even, witness = dynamics.even_orbits_check(word)
+        if not all_even:
+            raise CheckFailed(
+                f"seed={seed} n={n} word '{word.to_text()}': odd orbit of "
+                f"size {witness.size}"
+            )
+        checked += 1
     return f"{checked} words (n in {tuple(ns)}, seed={seed}): all orbit sizes even"
 
 

@@ -23,10 +23,10 @@ from . import core
 from .ncpartition import (
     Arc,
     NCPartition,
-    _check_arc_range,
     arc_index,
     arc_slots,
     arcs_conflict,
+    check_arc,
     conflict_masks,
     enumerate_masks,
     index_arc,
@@ -51,8 +51,7 @@ class ToggleWord:
         # A triple or a float pair would otherwise fail later, deep in a run.
         arcs = tuple(tuple(a) for a in arcs_in_application_order)
         for arc in arcs:
-            if _check_arc_range(n, arc) is not None:
-                raise ValueError(f"arc {arc} out of range for n={n}")
+            check_arc(n, arc)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -154,7 +155,7 @@ def test_homomesy_negative_exit_code(capsys):
 def test_homomesy_json_deterministic(capsys):
     argv = [
         "homomesy", "4", "--word", "3,4 1,2 2,3 1,4",
-        "--stat", "alpha", "--format", "json", "--seed", "7",
+        "--stat", "alpha", "--format", "json",
     ]
     code1, out1, _ = run(capsys, *argv)
     code2, out2, _ = run(capsys, *argv)
@@ -162,7 +163,7 @@ def test_homomesy_json_deterministic(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["version"]
-    assert payload["seed"] == 7
+    assert payload["seed"] is None
     assert payload["config"]["stat"] == "alpha"
     assert payload["result"]["verdict"] == "3/2-mesic"
     assert {"size": 6, "average": "3/2"} in payload["result"]["orbits"]
@@ -181,7 +182,7 @@ HOMOMESY6_GOLDEN = {
     ('alpha', 'json'): (
         0,
         '{"config":{"command":"homomesy","format":"json","max_n":null,"n":6,'
-        '"seed":null,"stat":"alpha","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,'
+        '"stat":"alpha","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,'
         '6 2,6 3,5 2,3 1,4 5,6 4,5","word_file":null},'
         '"result":{"homomesic":true,"mean":"5/2","orbits":[{"average":"5/2",'
         '"size":60},{"average":"5/2","size":46},{"average":"5/2","size":22},'
@@ -199,7 +200,7 @@ HOMOMESY6_GOLDEN = {
     ('beta', 'json'): (
         0,
         '{"config":{"command":"homomesy","format":"json","max_n":null,"n":6,'
-        '"seed":null,"stat":"beta","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,'
+        '"stat":"beta","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,'
         '6 2,6 3,5 2,3 1,4 5,6 4,5","word_file":null},'
         '"result":{"homomesic":true,"mean":"7/2","orbits":[{"average":"7/2",'
         '"size":60},{"average":"7/2","size":46},{"average":"7/2","size":22},'
@@ -217,7 +218,7 @@ HOMOMESY6_GOLDEN = {
     ('psi:3', 'json'): (
         0,
         '{"config":{"command":"homomesy","format":"json","max_n":null,"n":6,'
-        '"seed":null,"stat":"psi:3","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,'
+        '"stat":"psi:3","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,2 1,'
         '6 2,6 3,5 2,3 1,4 5,6 4,5","word_file":null},'
         '"result":{"homomesic":true,"mean":"1","orbits":[{"average":"1",'
         '"size":60},{"average":"1","size":46},{"average":"1","size":22},'
@@ -236,7 +237,7 @@ HOMOMESY6_GOLDEN = {
     ('chi:1,3', 'json'): (
         1,
         '{"config":{"command":"homomesy","format":"json","max_n":null,"n":6,'
-        '"seed":null,"stat":"chi:1,3","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,'
+        '"stat":"chi:1,3","word":"4,6 3,6 2,4 1,5 2,5 1,3 3,4 1,'
         '2 1,6 2,6 3,5 2,3 1,4 5,6 4,5","word_file":null},'
         '"result":{"homomesic":false,"mean":null,"orbits":[{"average":"1/12",'
         '"size":60},{"average":"5/46","size":46},{"average":"3/22","size":22},'
@@ -390,7 +391,7 @@ def test_kreweras_oracle_reads_max_n_and_the_environment(capsys, monkeypatch, ro
 )
 def test_kreweras_oracle_has_no_simion_ullman_or_power_route(capsys, flags, name):
     argv = ("kreweras", "9", "--partition", "(1,2)", *flags)
-    assert run(capsys, *argv, "--max-n", "8")[0] == 0
+    assert run(capsys, *argv)[0] == 0
     assert run(capsys, *argv, "--oracle", "--max-n", "8") == (
         3, "", f"error: --oracle does not apply to {name}\n"
     )
@@ -409,6 +410,109 @@ def test_max_n_is_not_an_option_where_nothing_reads_it(
     assert (code, out) == (3, "") and "--max-n" in err
     _, out, _ = run(capsys, *argv, "--format", "json")
     assert "max_n" not in json.loads(out)["config"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "3", "--count-only"),
+        ("toggle", "4", "--arc", "1,2"),
+        ("orbits", "4", "--word", "1,2 2,3"),
+        ("homomesy", "4", "--word", "3,4 1,2 2,3 1,4", "--stat", "alpha"),
+        ("kreweras", "4", "--partition", "1,2"),
+        ("graph", "check-cliquish", "k4me.txt"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_not_an_option_where_nothing_reads_it(
+    capsys, monkeypatch, tmp_path, argv
+):
+    (tmp_path / "k4me.txt").write_text(K4ME_TEXT)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--seed", "5") == (
+        3, "", "error: unrecognized arguments: --seed 5\n"
+    )
+
+
+def sub_parsers(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def dests(parser) -> set:
+    return {a.dest for a in parser._actions} - {"help"}
+
+
+def test_the_parser_holds_each_commands_options():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    commands = sub_parsers(parser)
+    actions = sub_parsers(commands["graph"])
+    seeded = [
+        name
+        for name, p in [*commands.items(), *actions.items()]
+        if "seed" in dests(p)
+    ]
+    assert seeded == ["verify-all"]
+    word = {"word", "word_file"}
+    assert {name: dests(p) for name, p in commands.items()} == {
+        "enumerate": {"n", "count_only", "blocks", "format", "max_n"},
+        "toggle": {"n", "partition", "arc", *word, "format"},
+        "orbits": {"n", *word, "sizes_only", "format", "max_n"},
+        "homomesy": {"n", *word, "stat", "format", "max_n"},
+        "kreweras": {
+            "n", "partition", "prime", "simion_ullman", "power", "oracle",
+            "circular", "dot", "format", "max_n",
+        },
+        "graph": {"action"},
+        "verify-all": {"max_n", "words", "seed", "format"},
+    }
+    assert {name: dests(p) for name, p in actions.items()} == {
+        "check-cliquish": {"file", "format"},
+        "skeletalize": {"file", "uset", "format"},
+        "to-multigraph": {"file", "uset", "format"},
+        "from-multigraph": {"file", "format"},
+        "gen": {"from_skeletal", "uset", "format"},
+    }
+
+
+KREWERAS4_DOT = (
+    "graph partition {\n  layout=circo;\n  1;\n  2;\n  3;\n  4;\n"
+    "  2 -- 3;\n  3 -- 4;\n}"
+)
+
+
+def test_kreweras_layouts_join_the_json_result(capsys):
+    argv = ("kreweras", "4", "--partition", "1,2", "--circular", "--dot")
+    circular = "clockwise: 1[B0] 2[B1] 3[B1] 4[B1]"
+    assert run(capsys, *argv) == (
+        0, f"4; (2,3) (3,4)\n{{1}}{{2,3,4}}\n{circular}\n{KREWERAS4_DOT}\n", ""
+    )
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == {
+        "blocks": "{1}{2,3,4}",
+        "circular": circular,
+        "dot": KREWERAS4_DOT,
+        "input": {"arcs": [[1, 2]], "n": 4},
+        "operation": "complement",
+        "output": {"arcs": [[2, 3], [3, 4]], "n": 4},
+    }
+    for flag, key in (("--circular", "circular"), ("--dot", "dot")):
+        _, out, _ = run(capsys, *argv[:4], flag, "--format", "json")
+        assert set(json.loads(out)["result"]) == {
+            "blocks", "input", "operation", "output", key
+        }
+
+
+@pytest.mark.parametrize("route", [[], ["--prime"], ["--simion-ullman"], ["--power", "2"]])
+def test_kreweras_max_n_needs_the_oracle(capsys, route):
+    argv = ("kreweras", "4", "--partition", "1,2", *route, "--max-n", "2")
+    for fmt in ("text", "json"):
+        assert run(capsys, *argv, "--format", fmt) == (
+            3, "", "error: --max-n applies only to --oracle\n"
+        )
 
 
 def test_kreweras_simion_ullman_involution(capsys):

@@ -119,13 +119,13 @@ GOLDEN = {
     'check-no-file': (
         3,
         '',
-        'error: check-cliquish requires a graph file\n',
+        'error: the following arguments are required: file\n',
         None,
     ),
     'check-k4me-uset': (
         3,
         '',
-        'error: --uset does not apply to check-cliquish\n',
+        'error: unrecognized arguments: --uset 3\n',
         None,
     ),
     'skel-k4me': (
@@ -257,7 +257,7 @@ GOLDEN = {
     'frommulti-multi-uset': (
         3,
         '',
-        'error: --uset does not apply to from-multigraph\n',
+        'error: unrecognized arguments: --uset zz\n',
         None,
     ),
     'gen-k4me': (
@@ -293,7 +293,7 @@ GOLDEN = {
     'gen-no-skeletal': (
         3,
         '',
-        'error: gen requires --from-skeletal FILE\n',
+        'error: the following arguments are required: --from-skeletal\n',
         None,
     ),
     'gen-loop': (
@@ -305,19 +305,19 @@ GOLDEN = {
     'gen-file-and-skeletal': (
         3,
         '',
-        'error: gen reads its graph from --from-skeletal, not a file argument\n',
+        'error: unrecognized arguments: /nonexistent\n',
         None,
     ),
     'skel-k4me-from-skeletal': (
         3,
         '',
-        'error: --from-skeletal does not apply to skeletalize\n',
+        'error: unrecognized arguments: --from-skeletal /nonexistent\n',
         None,
     ),
     'check-k4me-from-skeletal': (
         3,
         '',
-        'error: --from-skeletal does not apply to check-cliquish\n',
+        'error: unrecognized arguments: --from-skeletal k4me.txt\n',
         None,
     ),
 }

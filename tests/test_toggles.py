@@ -23,6 +23,7 @@ from nctoggles.toggles import (
     pair_order_observed,
     toggle,
 )
+from nctoggles.words import ToggleWord
 
 FIG = NCPartition(10, [(1, 4), (4, 5), (7, 10), (8, 9)])
 
@@ -60,6 +61,21 @@ def test_toggle_out_of_range():
         toggle(FIG, (0, 3))
     with pytest.raises(ValueError):
         toggle(FIG, (4, 11))
+
+
+@pytest.mark.parametrize("arc", [(0, 3), (4, 11), (3, 3), (1, 2, 3), (1.0, 3.0), ("1", "2")])
+def test_every_arc_taker_rejects_a_bad_arc_alike(arc):
+    message = f"arc {arc} out of range for n=10"
+    for call in (
+        lambda: toggle(FIG, arc),
+        lambda: pair_order(arc, (1, 2), 10),
+        lambda: pair_order((1, 2), arc, 10),
+        lambda: noncommuting_count(10, arc),
+        lambda: ToggleWord(10, [(1, 2), arc]),
+    ):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 def test_toggle_matches_bruteforce_and_is_involution():
