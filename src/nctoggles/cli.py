@@ -3,7 +3,9 @@
 Exit codes: 0 = verified / holds, 1 = falsified / counterexample found,
 2 = precondition unmet (including enumeration ceilings), 3 = usage or
 parse error.  JSON output is byte-identical across identical invocations
-and embeds the invocation config, tool version, and seed.
+and embeds the invocation config, tool version, and seed; only
+``verify-all`` draws at random and takes ``--seed``, so every other
+command's ``seed`` is null.
 
 The enumeration ceiling defaults to 15.  The commands that enumerate
 NC(n) read it: ``enumerate``, ``orbits``, ``homomesy`` and

@@ -36,7 +36,7 @@ from .ncpartition import (
     index_arc,
 )
 from .toggles import counts
-from .words import ToggleWord, admissible_conjugate, is_partial_coxeter
+from .words import ToggleWord, admissible_conjugate
 
 
 def _arc_word(word: ToggleWord, limit: int | None) -> tuple:
@@ -122,6 +122,7 @@ def psi_terms(adj, v: int, weight: int = 1) -> tuple[tuple[int, int], ...]:
     return ((1 << v, 2 * weight), (adj[v], weight))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Statistic:
     """A formal rational-linear combination of basic partition statistics.
 
@@ -133,7 +134,7 @@ class Statistic:
     evaluate to exact rationals.
     """
 
-    __slots__ = ("terms",)
+    terms: tuple[tuple[_Key, Fraction], ...]
 
     def __init__(self, terms: dict[_Key, Fraction]):
         for key in terms:
@@ -143,9 +144,6 @@ class Statistic:
             key: Fraction(coeff) for key, coeff in terms.items() if coeff != 0
         }
         object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Statistic is immutable")
 
     @classmethod
     def alpha(cls) -> "Statistic":
@@ -246,9 +244,6 @@ class Statistic:
             parts.append(name if coeff == 1 else f"{coeff}*{name}")
         return " + ".join(parts)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Statistic) and self.terms == other.terms
-
     def __hash__(self) -> int:
         return hash(self.terms)
 
@@ -259,12 +254,8 @@ class Statistic:
 def parse_statistic(spec: str) -> Statistic:
     """Parse CLI statistic specs: alpha | beta | card | chi:i,j | psi:k."""
     spec = spec.strip()
-    if spec == "alpha":
-        return Statistic.alpha()
-    if spec == "beta":
-        return Statistic.beta()
-    if spec == "card":
-        return Statistic.card()
+    if spec in ("alpha", "beta", "card"):
+        return Statistic({(spec,): 1})
     if spec.startswith("chi:"):
         try:
             i, j = (int(v) for v in spec[4:].split(","))
@@ -444,9 +435,22 @@ def check_homomesy(
     )
 
 
-def contains_all_short_arcs(word: ToggleWord) -> bool:
-    support = word.support()
-    return all((i, i + 1) in support for i in range(1, word.n))
+def theorem_report(
+    letters: tuple, letter: str, missing: list, required: str, *report
+) -> HomomesyReport:
+    """:func:`homomesy_report` of ``report``, ``(word, space, orbit_list,
+    stats)``, under a homomesy theorem whose hypotheses are that the word,
+    with ``letters`` in application order, repeats no ``letter`` (it is
+    partial Coxeter) and contains every ``required`` letter; ``missing``
+    lists those it lacks.  Unmet hypotheses become the report's
+    precondition.  The paper's two theorems, on NC(n) and on 2-cliquish
+    graphs, share it."""
+    problems = []
+    if len(set(letters)) != len(letters):
+        problems.append(f"word repeats {letter} (not partial Coxeter)")
+    if missing:
+        problems.append(f"word is missing {required} {missing}")
+    return homomesy_report(*report, "; ".join(problems) or None)
 
 
 def verify_arc_count_theorem(word: ToggleWord) -> HomomesyReport:
@@ -456,21 +460,13 @@ def verify_arc_count_theorem(word: ToggleWord) -> HomomesyReport:
     arc (i, i+1) — are recorded in the report when unmet, and the averages
     are still computed so near-misses can be inspected.
     """
-    n = word.n
-    problems = []
-    if not is_partial_coxeter(word):
-        problems.append("word repeats an arc (not partial Coxeter)")
-    if not contains_all_short_arcs(word):
-        missing = sorted(
-            (i, i + 1) for i in range(1, n) if (i, i + 1) not in word.support()
-        )
-        problems.append(f"word is missing short arcs {missing}")
-    precondition = "; ".join(problems) or None
+    n, support = word.n, word.support()
+    missing = [(i, i + 1) for i in range(1, n) if (i, i + 1) not in support]
     alpha, beta = Statistic.alpha().compile(n), Statistic.beta().compile(n)
-    return homomesy_report(
-        word.to_text(), f"NC({n})", orbit_masks(word),
+    return theorem_report(
+        word.arcs, "an arc", missing, "short arcs", word.to_text(), f"NC({n})",
+        orbit_masks(word),
         [("alpha", alpha, Fraction(n - 1, 2)), ("beta", beta, Fraction(n + 1, 2))],
-        precondition,
     )
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import independent_sets, stepper, word_orbits
-from .dynamics import HomomesyReport, homomesy_report, psi_terms
+from .dynamics import HomomesyReport, psi_terms, theorem_report
 from .ncpartition import arc_slots, arcs_conflict, index_arc
 
 
@@ -53,6 +53,7 @@ def _graph_text(vertices, edges) -> str:
     return "\n".join(lines)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class SimpleGraph:
     """An immutable loop-free simple graph with ordered, hashable labels.
 
@@ -60,7 +61,9 @@ class SimpleGraph:
     iteration; adjacency is kept as bitmasks over vertex indices.
     """
 
-    __slots__ = ("vertices", "_index", "adj")
+    vertices: tuple
+    _index: dict
+    adj: tuple[int, ...]
 
     def __init__(self, vertices, edges=()):
         seen, index, edges = _index_labels(vertices, edges, " in a simple graph")
@@ -71,9 +74,6 @@ class SimpleGraph:
         object.__setattr__(self, "vertices", seen)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "adj", tuple(adj))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimpleGraph is immutable")
 
     @property
     def n_vertices(self) -> int:
@@ -288,22 +288,17 @@ def verify_cardinality_homomesy(
     as an unmet precondition, and the averages are reported anyway.
     """
     word = tuple(word)
-    problems = []
-    if len(set(word)) != len(word):
-        problems.append("word repeats a vertex (not partial Coxeter)")
-    missing = sorted((str(u) for u in cert.u_set - set(word)))
-    if missing:
-        problems.append(f"word is missing toggles for U members {missing}")
-    precondition = "; ".join(problems) or None
-
     orbits = orbit_partition(graph, word)
+    missing = sorted(str(u) for u in cert.u_set - set(word))
     full = (1 << graph.n_vertices) - 1
     stats = [("card", (1, 0, ((full, 1),)), Fraction(cert.A, 2))]
     for u in sorted(cert.u_set, key=str):
         psi = (1, 0, psi_terms(graph.adj, graph.index_of(u)))
         stats.append((f"psi:{u}", psi, Fraction(1)))
-    space = f"ind(G) on {graph.n_vertices} vertices"
-    return homomesy_report(vertex_word_text(word), space, orbits, stats, precondition)
+    return theorem_report(
+        word, "a vertex", missing, "toggles for U members", vertex_word_text(word),
+        f"ind(G) on {graph.n_vertices} vertices", orbits, stats,
+    )
 
 
 # --- constructions -----------------------------------------------------------
@@ -393,10 +388,12 @@ def skeletalize(graph: SimpleGraph, u_set) -> SimpleGraph:
     return SimpleGraph(graph.vertices, kept)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class Multigraph:
     """An immutable loopless multigraph: labeled vertices, edge multiset."""
 
-    __slots__ = ("vertices", "edges")
+    vertices: tuple
+    edges: tuple[tuple, ...]
 
     def __init__(self, vertices, edges=()):
         seen, index, edges = _index_labels(vertices, edges)
@@ -404,9 +401,6 @@ class Multigraph:
         normalized.sort(key=lambda e: (index[e[0]], index[e[1]]))
         object.__setattr__(self, "vertices", seen)
         object.__setattr__(self, "edges", tuple(normalized))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multigraph is immutable")
 
     @property
     def n_vertices(self) -> int:

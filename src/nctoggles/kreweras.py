@@ -227,13 +227,9 @@ def kreweras_prime(partition: NCPartition) -> NCPartition:
 
 def kreweras_power(partition: NCPartition, power: int) -> NCPartition:
     """Iterate the complement ``power`` times (negative powers invert)."""
-    out = partition
-    if power >= 0:
-        for _ in range(power):
-            out = kreweras(out)
-    else:
-        for _ in range(-power):
-            out = kreweras_prime(out)
+    out, step = partition, kreweras if power >= 0 else kreweras_prime
+    for _ in range(abs(power)):
+        out = step(out)
     return out
 
 

@@ -17,11 +17,11 @@ relies on.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
 
 from .core import independent_sets
 
@@ -55,7 +55,10 @@ class Violation:
     arcs: tuple[Arc, ...]
 
     def __str__(self) -> str:
-        shown = " ".join(f"({i},{j})" for i, j in self.arcs)
+        shown = " ".join(
+            f"({','.join(map(str, arc))})" if isinstance(arc, tuple) else str(arc)
+            for arc in self.arcs
+        )
         return f"{self.kind.value}: {shown}"
 
 
@@ -132,6 +135,11 @@ def conflict_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def arc_tuple(arc):
+    """``arc`` as a tuple when it is iterable (a list pair, say), else as is."""
+    return tuple(arc) if isinstance(arc, Iterable) else arc
+
+
 def _check_arc_range(n: int, arc) -> Violation | None:
     if (
         not isinstance(arc, tuple)
@@ -139,7 +147,7 @@ def _check_arc_range(n: int, arc) -> Violation | None:
         or not all(isinstance(v, int) for v in arc)
         or not (1 <= arc[0] < arc[1] <= n)
     ):
-        return Violation(ViolationKind.OUT_OF_RANGE, (tuple(arc),))
+        return Violation(ViolationKind.OUT_OF_RANGE, (arc_tuple(arc),))
     return None
 
 
@@ -184,6 +192,7 @@ def validate(n: int, arcs: Iterable[Arc]) -> Violation | None:
     return None
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class NCPartition:
     """An immutable noncrossing partition of [n], stored as an arc bitset.
 
@@ -191,7 +200,8 @@ class NCPartition:
     dictionary keys and set members, which orbit detection depends on.
     """
 
-    __slots__ = ("n", "mask")
+    n: int
+    mask: int
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if not 0 <= n <= MAX_N:
@@ -205,9 +215,6 @@ class NCPartition:
         for arc in arcs:
             mask |= 1 << arc_index(n, arc)
         object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCPartition is immutable")
 
     @classmethod
     def _raw(cls, n: int, mask: int) -> "NCPartition":
@@ -272,16 +279,6 @@ class NCPartition:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "arcs": [list(a) for a in self.arcs()]}
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NCPartition)
-            and self.n == other.n
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
-
     def __repr__(self) -> str:
         return f"NCPartition({self.n}, {list(self.arcs())})"
 
@@ -301,6 +298,7 @@ def parse_arcs(text: str) -> list[Arc]:
     return out
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class BlockPartition:
     """A set partition of [n] into blocks, not necessarily noncrossing.
 
@@ -309,7 +307,8 @@ class BlockPartition:
     crossing partition can exist just long enough to be rejected there.
     """
 
-    __slots__ = ("n", "blocks")
+    n: int
+    blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         normalized = tuple(
@@ -330,9 +329,6 @@ class BlockPartition:
             raise ValueError(f"blocks do not cover [n]; missing {missing}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", normalized)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlockPartition is immutable")
 
     def to_arcs(self) -> NCPartition:
         """Arc diagram of this partition; raises if the blocks cross."""
@@ -359,16 +355,6 @@ class BlockPartition:
         if n is None:
             n = max((v for b in blocks for v in b), default=0)
         return cls(n, blocks)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BlockPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
 
     def __repr__(self) -> str:
         return f"BlockPartition({self.n}, {[list(b) for b in self.blocks]})"

@@ -25,6 +25,7 @@ from .ncpartition import (
     NCPartition,
     arc_index,
     arc_slots,
+    arc_tuple,
     arcs_conflict,
     check_arc,
     conflict_masks,
@@ -42,21 +43,20 @@ class WordParseError(ValueError):
         self.position = position
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ToggleWord:
     """A sequence of arc toggles on NC(n), stored in application order."""
 
-    __slots__ = ("n", "arcs")
+    n: int
+    arcs: tuple[Arc, ...]
 
     def __init__(self, n: int, arcs_in_application_order=()):
         # A triple or a float pair would otherwise fail later, deep in a run.
-        arcs = tuple(tuple(a) for a in arcs_in_application_order)
+        arcs = tuple(map(arc_tuple, arcs_in_application_order))
         for arc in arcs:
             check_arc(n, arc)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ToggleWord is immutable")
 
     @classmethod
     def from_composition_order(cls, n: int, arcs) -> "ToggleWord":
@@ -98,16 +98,6 @@ class ToggleWord:
 
     def __len__(self) -> int:
         return len(self.arcs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ToggleWord)
-            and self.n == other.n
-            and self.arcs == other.arcs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
 
     def __repr__(self) -> str:
         return f"ToggleWord.from_text({self.n}, {self.to_text()!r})"

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import brute
-from nctoggles import dynamics
+from nctoggles import dynamics, indsets
 from nctoggles.core import orbit_partition
 from nctoggles.dynamics import (
     Statistic,
@@ -295,3 +296,34 @@ def test_precondition_report_serializes():
     obj = report.to_json_dict()
     assert "precondition" in obj
     assert obj["sub_reports"][0]["statistic"] == "beta"
+
+
+def test_theorem_checks_decompose_through_the_module_attributes(monkeypatch):
+    # bench/run.py times and counts orbit decompositions by rebinding these
+    # module attributes, so each check must reach its orbits through them.
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(dynamics, "orbit_masks")
+    count(indsets, "orbit_partition")
+    for check in (
+        lambda: check_homomesy(SAMPLE4, Statistic.alpha()),
+        lambda: verify_arc_count_theorem(SAMPLE4),
+        lambda: even_orbits_check(SAMPLE4),
+    ):
+        calls.clear()
+        check()
+        assert calls == {"orbit_masks": 1}
+    graph, u_set = indsets.complete_minus_edge(4)
+    cert = indsets.check_cliquish_with(graph, u_set)
+    calls.clear()
+    assert indsets.verify_cardinality_homomesy(graph, cert, [1, 2, 3, 4]).holds
+    assert calls == {"orbit_partition": 1}

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -217,6 +219,15 @@ def test_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert len({a, b, c}) == 2
+
+
+@pytest.mark.parametrize("arc,shown", [(5, "5"), (None, "None"), ((1, 2, 3), "(1,2,3)")])
+def test_validate_reports_a_non_pair_arc_out_of_range(arc, shown):
+    bad = validate(4, [arc])
+    assert bad.kind is ViolationKind.OUT_OF_RANGE
+    assert str(bad) == f"out_of_range: {shown}"
+    with pytest.raises(InvalidPartitionError, match=rf"^out_of_range: {re.escape(shown)}$"):
+        NCPartition(4, [arc])
 
 
 def test_immutable():

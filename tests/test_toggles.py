@@ -63,7 +63,9 @@ def test_toggle_out_of_range():
         toggle(FIG, (4, 11))
 
 
-@pytest.mark.parametrize("arc", [(0, 3), (4, 11), (3, 3), (1, 2, 3), (1.0, 3.0), ("1", "2")])
+@pytest.mark.parametrize(
+    "arc", [(0, 3), (4, 11), (3, 3), (1, 2, 3), (1.0, 3.0), ("1", "2"), 5, None]
+)
 def test_every_arc_taker_rejects_a_bad_arc_alike(arc):
     message = f"arc {arc} out of range for n=10"
     for call in (
