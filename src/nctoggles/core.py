@@ -16,7 +16,11 @@ keyed by the graph's table and bounded to the 16 graphs used last, so the
 Kreweras oracle's thousands of ``within`` searches share one.  For the base
 graph it holds 191 subtrees and 18,321 sets at n = 12 (0.8 MB), 293 and
 34,113 at n = 13 (1.5 MB), 447 and 61,723 at n = 14 (2.8 MB), against
-catalan(n) sets in the enumeration itself.
+catalan(n) sets in the enumeration itself.  An enumeration of fewer than
+:data:`VECTOR_MIN_STATES` sets is a tuple of ints; a longer one is a
+:class:`PackedSets`, which holds each set in one or two ``array('Q')``
+lanes, 8 B per lane against about 48 B for an int of more than 64 bits
+and its slot in a tuple, and hands them to numpy without a copy.
 
 The orbit engine (:func:`word_orbits`) composes a word on state indices,
 swapping along each toggle's table of index pairs, for NC(n) and graphs
@@ -26,9 +30,13 @@ and :func:`orbit_partition` stay its oracles.
 
 from __future__ import annotations
 
+import operator
+import sys
 from array import array
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import TypeVar
 
 S = TypeVar("S")
 
@@ -43,7 +51,76 @@ S = TypeVar("S")
 SMALL_SUBTREE = 16
 
 
-def independent_sets(adj: Sequence[int], within: int | None = None) -> tuple[int, ...]:
+#: A toggle system with at least this many states is run on numpy when numpy
+#: imports; fewer states, or a process without numpy, run on lists and
+#: arrays.  For NC(n) that is n >= 11: at n = 10 (16,796 states) a cold run
+#: does not pay back importing numpy.  It is also the length from which
+#: :func:`independent_sets` returns its sets packed into lanes, so every
+#: state list the numpy engine is given arrives packed.
+VECTOR_MIN_STATES = 2**15
+
+#: A :class:`PackedSets` lane holds 64 vertices, and a set at most two lanes.
+_LANE_BITS = 64
+_LANE_MASK = (1 << _LANE_BITS) - 1
+#: Byte order of ``array('Q')``, in which lane bytes are written.
+_ORDER = sys.byteorder
+
+
+def _lane_count(vertices: int) -> int:
+    """Lanes per set on ``vertices`` vertices: 1 up to 64, 2 up to 128, and
+    0 above, where sets stay Python ints."""
+    return 0 if vertices > 2 * _LANE_BITS else max(1, -(-vertices // _LANE_BITS))
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class PackedSets(Sequence):
+    """A read-only sequence of bitsets held in ``array('Q')`` lanes: set i
+    is ``lanes[0][i] | lanes[1][i] << 64``, or ``lanes[0][i]`` alone on one
+    lane.
+
+    Reading a set builds its int; iterating builds them in C.  The numpy
+    engine reads the lanes as arrays without copying them.  A packed
+    sequence equals a tuple or another packed sequence with the same sets in
+    the same order.  The lanes must not be changed.
+    """
+
+    lanes: tuple[array, ...]
+
+    @classmethod
+    def of(cls, sets: Sequence[int], count: int) -> PackedSets:
+        """``sets``, each below ``2 ** (64 * count)``, packed in ``count``
+        lanes."""
+        if count == 1:
+            return cls((array("Q", sets),))
+        return cls(tuple(
+            array("Q", [s >> shift & _LANE_MASK for s in sets])
+            for shift in range(0, count * _LANE_BITS, _LANE_BITS)
+        ))
+
+    def __len__(self) -> int:
+        return len(self.lanes[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PackedSets(tuple(lane[i] for lane in self.lanes))
+        return sum(lane[i] << k * _LANE_BITS for k, lane in enumerate(self.lanes))
+
+    def __iter__(self):
+        low, *high = self.lanes
+        if not high:
+            return iter(low)
+        return map(int.__or__, low, map(_LANE_BITS.__rlshift__, high[0]))
+
+    def __eq__(self, other):
+        if not isinstance(other, (PackedSets, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"PackedSets(<{len(self)} sets in {len(self.lanes)} lanes>)"
+
+
+def independent_sets(adj: Sequence[int], within: int | None = None) -> Sequence[int]:
     """Every independent set as a bitset, in lexicographic order on sorted
     vertex lists; with ``within``, only the sets inside that vertex bitset.
 
@@ -51,13 +128,20 @@ def independent_sets(adj: Sequence[int], within: int | None = None) -> tuple[int
     vertex, and every set in between extends that one
     (:func:`toggle_pairs` walks the states that way).
 
-    Subtrees with at most :data:`SMALL_SUBTREE` candidates come from the
-    graph's memo (see the module docstring), which keeps the result
-    independent of earlier calls; ``adj`` may be any sequence, and equal
-    tables share one memo.
+    The result is a tuple of ints, except that a search of at least
+    :data:`VECTOR_MIN_STATES` sets on at most 128 vertices returns a
+    :class:`PackedSets`: 8 B per set and 64-bit lane, against about 48 B
+    for an int of more than 64 bits and its slot in a tuple.  Such a search
+    is cut off once its list reaches that size and run again into lanes
+    (:func:`_packed_sets`).  Subtrees with at most :data:`SMALL_SUBTREE`
+    candidates come from the graph's memo (see the module docstring), which
+    keeps the result independent of earlier calls; ``adj`` may be any
+    sequence, and equal tables share one memo.
     """
     adj = tuple(adj)
     small = _small_subtrees(adj)
+    root = (1 << len(adj)) - 1 if within is None else within
+    cap = VECTOR_MIN_STATES if len(adj) <= 2 * _LANE_BITS else sys.maxsize
     out: list[int] = []
 
     # Depth-first over increasing vertices; emitting the current set before
@@ -74,13 +158,62 @@ def independent_sets(adj: Sequence[int], within: int | None = None) -> tuple[int
                 out.extend(map((mask | low).__or__, small(nxt)))
             else:
                 rec(mask | low, nxt)
+        if len(out) >= cap:
+            raise _LongSearch
 
-    rec(0, (1 << len(adj)) - 1 if within is None else within)
-    # rec's closure holds rec, and so ``out``: without this the list would
-    # wait for the cycle collector, which the memo's allocations can push
-    # to a later generation, past the caller's own peak.
-    del rec
+    try:
+        rec(0, root)
+    except _LongSearch:
+        # Listed sets are dropped and the search runs again into lanes: that
+        # is cheaper than splitting the ints, and no int outlives the call.
+        out.clear()
+        return _packed_sets(adj, root)
+    finally:
+        # rec's closure holds rec, and so ``out``: without this the list
+        # would wait for the cycle collector, which the memo's allocations
+        # can push to a later generation, past the caller's own peak.
+        del rec
     return tuple(out)
+
+
+class _LongSearch(Exception):
+    """A listing search reached :data:`VECTOR_MIN_STATES` sets."""
+
+
+def _packed_sets(adj: tuple[int, ...], root: int) -> PackedSets:
+    """:func:`independent_sets` of ``adj`` inside ``root``, every set
+    written straight into lanes.
+
+    The search is :func:`independent_sets`' own, but each block of the
+    memo is written at once: the block's lane, as one int of 64-bit fields
+    (:func:`_small_subtrees`), is ORed with the prefix in every field and
+    appended to the lane as bytes; a lone set is the block of no
+    candidates.
+    """
+    fields = _small_subtrees(adj).fields
+    shifts = range(0, _lane_count(len(adj)) * _LANE_BITS, _LANE_BITS)
+    lanes = tuple(array("Q") for _ in shifts)
+
+    def write(prefix: int, avail: int) -> None:
+        size, ones, parts = fields(avail)
+        for lane, part, shift in zip(lanes, parts, shifts):
+            lane.frombytes((part | (prefix >> shift & _LANE_MASK) * ones).to_bytes(size, _ORDER))
+
+    def rec(mask: int, avail: int) -> None:
+        write(mask, 0)
+        rest = avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nxt = rest & ~adj[low.bit_length() - 1]
+            if nxt.bit_count() <= SMALL_SUBTREE:
+                write(mask | low, nxt)
+            else:
+                rec(mask | low, nxt)
+
+    rec(0, root)
+    del rec
+    return PackedSets(lanes)
 
 
 @lru_cache(maxsize=16)
@@ -90,8 +223,15 @@ def _small_subtrees(adj: tuple[int, ...]) -> Callable[[int], tuple[int, ...]]:
 
     Keyed by the table's value, so an edited table is a new graph; the store
     keeps the 16 graphs used last.  The memo is the callable's ``memo``.
+    Its ``fields`` gives the same sets for :class:`PackedSets` lanes, also
+    memoised: ``(size, ones, parts)``, with one int per lane in ``parts``
+    whose 64-bit fields hold each set's bits of that lane, in order, as
+    ``size`` bytes of ``array('Q')``; ``ones`` has a 1 in every field, so
+    ``part | low_bits * ones`` joins every set to a prefix disjoint from it.
     """
     memo: dict[int, tuple[int, ...]] = {}
+    packed: dict[int, tuple] = {}
+    count = _lane_count(len(adj))
 
     def small(avail: int) -> tuple[int, ...]:
         got = memo.get(avail)
@@ -105,7 +245,20 @@ def _small_subtrees(adj: tuple[int, ...]) -> Callable[[int], tuple[int, ...]]:
             got = memo[avail] = tuple(sets)
         return got
 
+    def fields(avail: int) -> tuple:
+        got = packed.get(avail)
+        if got is None:
+            sets = small(avail)
+            parts = tuple(
+                int.from_bytes(lane.tobytes(), _ORDER)
+                for lane in PackedSets.of(sets, count).lanes
+            )
+            ones = ((1 << _LANE_BITS * len(sets)) - 1) // _LANE_MASK
+            got = packed[avail] = (8 * len(sets), ones, parts)
+        return got
+
     small.memo = memo  # type: ignore[attr-defined]
+    small.fields = fields  # type: ignore[attr-defined]
     return small
 
 
@@ -155,18 +308,9 @@ def orbit_partition(
     """Split ``states`` into orbits of the bijection ``step``, ordered as
     :func:`cycles` orders them: one ``step`` call per state, the oracle of
     :func:`word_orbits`, which the orbit decompositions run on instead."""
+    states = tuple(states)
     index = {s: i for i, s in enumerate(states)}
     return cycles(states, [index[step(s)] for s in states])
-
-
-#: A toggle system with at least this many states is run on numpy when numpy
-#: imports; fewer states, or a process without numpy, run on lists and
-#: arrays.  For NC(n) that is n >= 11: at n = 10 (16,796 states) a cold run
-#: does not pay back importing numpy.
-VECTOR_MIN_STATES = 2**15
-
-#: The vectorized table build holds a state in two uint64 lanes.
-_LANE_BITS = 64
 
 
 def vectorized(size: int, vertices: int) -> bool:
@@ -200,16 +344,17 @@ def _pair_tables(adj: tuple[int, ...]) -> dict:
     every slot is built.  They stay int32: the numpy swap pass casts a
     table to intp for the one toggle it applies and drops the copy, since
     intp tables would double the store.  The numpy build of every slot of
-    NC(12) takes about 0.3 s, against 0.9 s for the pure-Python one, and it
-    holds no per-state dict: a cold ``orbits N --sizes-only`` of the row
-    word peaks at 59 MB RSS at n = 12, against 57 MB on the pure-Python
-    engine though numpy itself takes 11 MB, and at 138 MB at n = 13 against
-    172 MB (2-core VM, Python 3.11, numpy 2.4).
+    NC(12) takes about 0.2 s, against 0.9 s for the pure-Python one, and it
+    holds no per-state dict: with the states packed, a cold
+    ``orbits N --sizes-only`` of the row word peaks at 52 MB RSS at n = 12,
+    against 59 MB on the pure-Python engine though numpy itself takes
+    11 MB, and at 105 MB at n = 13 against 180 MB (2-core VM, Python 3.11,
+    numpy 2.4; ``tools/peak_rss.py``).
     """
     return {}
 
 
-def toggle_pairs(adj: Sequence[int], slots: Iterable[int], states: tuple[int, ...]) -> dict:
+def toggle_pairs(adj: Sequence[int], slots: Iterable[int], states: Sequence[int]) -> dict:
     """The toggles at vertices ``slots`` of the graph ``adj`` as swaps of
     state indices.
 
@@ -235,7 +380,7 @@ def toggle_pairs(adj: Sequence[int], slots: Iterable[int], states: tuple[int, ..
     return {k: store[k] for k in wanted}
 
 
-def _pairs_python(adj: Sequence[int], slots: set[int], states: tuple[int, ...]) -> dict:
+def _pairs_python(adj: Sequence[int], slots: set[int], states: Sequence[int]) -> dict:
     """:func:`toggle_pairs`' tables for ``slots``, in one pass over the states.
 
     The pass appends each pair to its vertex's table, state then partner.
@@ -264,12 +409,14 @@ def _pairs_python(adj: Sequence[int], slots: set[int], states: tuple[int, ...]) 
     return {k: tables[k] for k in slots}
 
 
-def _pairs_numpy(adj: Sequence[int], slots: set[int], states: tuple[int, ...]) -> dict:
+def _pairs_numpy(adj: Sequence[int], slots: set[int], states: Sequence[int]) -> dict:
     """:func:`toggle_pairs`' tables for ``slots`` as int32 ndarrays, with no
     per-state dict: each partner is found by binary search on a sorted key.
 
-    A state is two uint64 lanes, ``lo`` (vertices 0..63) and ``hi``, keyed
-    by ``lo ^ (hi * 0x9E3779B97F4A7C15)`` (mod 2**64).  Equal keys raise,
+    The states are read as uint64 arrays straight from the lanes of a
+    :class:`PackedSets`; a tuple is packed first.  On one lane a state is
+    its own key; on two, ``lo`` (vertices 0..63) and ``hi`` are keyed by
+    ``lo ^ (hi * 0x9E3779B97F4A7C15)`` (mod 2**64).  Equal keys raise,
     and every partner found is compared lane by lane with the state sought,
     so the tables are exact or the build fails.  The toggle at k maps the
     states holding k one to one onto the states where k can be added (no
@@ -280,40 +427,44 @@ def _pairs_numpy(adj: Sequence[int], slots: set[int], states: tuple[int, ...]) -
     """
     import numpy as np
 
-    low = (1 << _LANE_BITS) - 1
-    lanes = (
-        np.fromiter((m & low for m in states), "<u8", len(states)),
-        np.fromiter((m >> _LANE_BITS for m in states), "<u8", len(states)),
-    )
-    # Byte b of a little-endian lane holds its bits 8b .. 8b + 7.
-    octets = [lane.view(np.uint8).reshape(-1, 8) for lane in lanes]
+    if not isinstance(states, PackedSets):
+        states = PackedSets.of(states, _lane_count(len(adj)))
+    lanes = [np.frombuffer(memoryview(lane).toreadonly(), np.uint64) for lane in states.lanes]
     spread = np.uint64(0x9E3779B97F4A7C15)
-    keys = lanes[1] * spread
-    keys ^= lanes[0]
+
+    def keyed(parts: list):
+        low, *high = parts
+        return low ^ high[0] * spread if high else low
+
+    # Whether each entry of ``lane`` meets ``bits``, as bools into ``out``:
+    # the uint64 AND is cast in the ufunc's small buffers, so it makes no
+    # temporary of 8 B per state, and a bool array is the fastest to search.
+    def meets(lane, bits: int, out):
+        return np.bitwise_and(lane, np.uint64(bits), out=out, casting="unsafe")
+
+    keys = keyed(lanes)
     order = np.argsort(keys).astype(np.int32)
     keys = keys[order]
     if (keys[1:] == keys[:-1]).any():
         raise RuntimeError("two states share a 64-bit key")
     slots = sorted(slots)
-    # In place over two buffers: no temporary of every state's size per k.
-    (blocked, part), sizes = np.empty((2, len(states)), np.uint64), []
+    (hits, more), sizes = np.empty((2, len(states)), np.bool_), []
     for k in slots:
         mask = 1 << k | adj[k]
-        np.bitwise_and(lanes[0], np.uint64(mask & low), out=blocked)
-        np.bitwise_and(lanes[1], np.uint64(mask >> _LANE_BITS), out=part)
-        blocked |= part
-        sizes.append(len(states) - np.count_nonzero(blocked))
-    del blocked, part
+        meets(lanes[0], mask & _LANE_MASK, hits)
+        for lane in lanes[1:]:
+            hits |= meets(lane, mask >> _LANE_BITS, more)
+        sizes.append(len(states) - np.count_nonzero(hits))
+    del more
     flat, start = np.empty(2 * sum(sizes), np.int32), 0
     out = {}
     for k, size in zip(slots, sizes):
         half, bit = divmod(k, _LANE_BITS)
-        i = np.flatnonzero(octets[half][:, bit // 8] & (1 << bit % 8))
+        i = np.flatnonzero(meets(lanes[half], 1 << bit, hits))
         partner = [lane[i] for lane in lanes]
         partner[half] ^= np.uint64(1 << bit)
         # The search runs about twice as fast on sorted queries.
-        queries = partner[1] * spread
-        queries ^= partner[0]
+        queries = keyed(partner)
         by_key = np.argsort(queries)
         pos = np.searchsorted(keys, queries[by_key])
         j = np.empty_like(order, shape=len(i))
@@ -328,7 +479,7 @@ def _pairs_numpy(adj: Sequence[int], slots: set[int], states: tuple[int, ...]) -
     return out
 
 
-def _word_image(adj: Sequence[int], slots: Sequence[int], states: tuple[int, ...]):
+def _word_image(adj: Sequence[int], slots: Sequence[int], states: Sequence[int]):
     """The word that toggles ``slots`` in order as a permutation of state
     indices, ``image[i]`` the index of word(state i): an int32 ndarray on
     the numpy engine (:func:`vectorized`), else a list."""
@@ -436,22 +587,25 @@ def _cycle_sizes(image) -> list[int]:
 
 
 def word_orbits(
-    adj: Sequence[int], slots: Sequence[int], states: tuple[int, ...]
+    adj: Sequence[int], slots: Sequence[int], states: Sequence[int]
 ) -> list[list[int]]:
     """Orbits of the word that toggles the vertices ``slots`` in order on
     ``states``, the independent sets of ``adj`` (:func:`toggle_pairs`), as
     lists of bitsets ordered as :func:`cycles` orders them, on either
-    engine; :func:`orbit_partition` over :func:`stepper` is the oracle."""
+    engine; :func:`orbit_partition` over :func:`stepper` is the oracle.
+    The orbits list every state as an int, so packed states are unpacked
+    once, into a tuple that lives for this call."""
     image = _word_image(adj, slots, states)
-    return cycles(states, image if isinstance(image, list) else image.tolist())
+    return cycles(tuple(states), image if isinstance(image, list) else image.tolist())
 
 
 def word_orbit_sizes(
-    adj: Sequence[int], slots: Sequence[int], states: tuple[int, ...]
+    adj: Sequence[int], slots: Sequence[int], states: Sequence[int]
 ) -> list[int]:
-    """The sizes of :func:`word_orbits`' orbits, in the same order; the
-    numpy engine lists no orbit (:func:`_cycle_sizes`)."""
+    """The sizes of :func:`word_orbits`' orbits, in the same order, with no
+    state read: the list engine chases cycles of indices, and the numpy
+    engine lists no cycle (:func:`_cycle_sizes`)."""
     image = _word_image(adj, slots, states)
     if isinstance(image, list):
-        return list(map(len, cycles(states, image)))
+        return list(map(len, cycles(range(len(image)), image)))
     return _cycle_sizes(image)

@@ -20,6 +20,7 @@ its two U-neighbors).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -165,9 +166,10 @@ def _parse_graph_lines(text: str):
 DEFAULT_VERTEX_LIMIT = 24
 
 
-def independent_set_masks(graph: SimpleGraph) -> tuple[int, ...]:
+def independent_set_masks(graph: SimpleGraph) -> Sequence[int]:
     """Bitsets of all independent sets, in lexicographic order on sorted
-    index lists (the same canonical order the partition enumeration uses).
+    index lists (the same canonical order the partition enumeration uses),
+    packed from 2**15 sets on (:func:`nctoggles.core.independent_sets`).
     The only check of the vertex ceiling, :data:`DEFAULT_VERTEX_LIMIT`."""
     if graph.n_vertices > DEFAULT_VERTEX_LIMIT:
         raise GraphSizeError(

@@ -17,7 +17,7 @@ relies on.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -30,10 +30,11 @@ Arc = tuple[int, int]
 #: Largest n accepted for single-partition operations.
 MAX_N = 64
 #: Default ceiling for exhaustive enumeration.  A cold ``orbits N
-#: --sizes-only`` of the row word on the numpy engine took 0.8-0.9 s and 59 MB
-#: peak RSS at n = 12, 2.4 s and 138 MB at n = 13, and 9.0 s and 431 MB
-#: (161 B/state) at n = 14, on a 2-core VM.  C_15 is about 9.7e6 states
-#: (about 1.6 GB at that rate); C_16, about 3.5e7, would need about 5.7 GB.
+#: --sizes-only`` of the row word on the numpy engine took 0.6 s and 52 MB
+#: peak RSS at n = 12, 1.6 s and 105 MB at n = 13, and 5.3-6.0 s and 298 MB
+#: (112 B/state) at n = 14, on a 2-core VM (``tools/peak_rss.py``).  C_15
+#: is about 9.7e6 states (about 1.1 GB at that rate); C_16, about 3.5e7,
+#: would need about 4 GB.
 DEFAULT_ENUM_LIMIT = 15
 
 
@@ -137,24 +138,28 @@ def conflict_masks(n: int) -> tuple[int, ...]:
 
 def arc_tuple(arc):
     """``arc`` as a tuple when it is iterable (a list pair, say), else as is."""
+    if isinstance(arc, tuple):
+        return arc
     return tuple(arc) if isinstance(arc, Iterable) else arc
 
 
 def _check_arc_range(n: int, arc) -> Violation | None:
+    """An out-of-range violation unless ``arc``, already passed through
+    :func:`arc_tuple`, is a pair of ints (i, j) with 1 <= i < j <= n."""
     if (
         not isinstance(arc, tuple)
         or len(arc) != 2
         or not all(isinstance(v, int) for v in arc)
         or not (1 <= arc[0] < arc[1] <= n)
     ):
-        return Violation(ViolationKind.OUT_OF_RANGE, (arc_tuple(arc),))
+        return Violation(ViolationKind.OUT_OF_RANGE, (arc,))
     return None
 
 
 def check_arc(n: int, arc) -> None:
-    """Raise ValueError unless ``arc`` is a tuple of ints (i, j) with
-    1 <= i < j <= n."""
-    if _check_arc_range(n, arc) is not None:
+    """Raise ValueError unless ``arc`` is a pair of ints (i, j), as a tuple
+    or any iterable, with 1 <= i < j <= n."""
+    if _check_arc_range(n, arc_tuple(arc)) is not None:
         raise ValueError(f"arc {arc} out of range for n={n}")
 
 
@@ -175,10 +180,13 @@ def validate(n: int, arcs: Iterable[Arc]) -> Violation | None:
     Returns ``None`` when valid, otherwise a :class:`Violation` naming one
     offending arc (out of range / duplicate) or pair of arcs (crossing,
     left-nesting, right-nesting).  The first violation in a deterministic
-    scan order is reported.
+    scan order is reported.  An arc may be any iterable pair, such as a
+    list; violations name it as a tuple.
     """
     seen: list[Arc] = []
     for arc in arcs:
+        if not isinstance(arc, tuple):
+            arc = arc_tuple(arc)
         bad = _check_arc_range(n, arc)
         if bad is not None:
             return bad
@@ -361,7 +369,7 @@ class BlockPartition:
 
 
 @lru_cache(maxsize=8)
-def _enum_masks_cached(n: int) -> tuple[int, ...]:
+def _enum_masks_cached(n: int) -> Sequence[int]:
     return independent_sets(conflict_masks(n))
 
 
@@ -373,10 +381,14 @@ def _check_enum_limit(n: int, limit: int | None) -> None:
         raise EnumerationLimitError(n, cap)
 
 
-def enumerate_masks(n: int, limit: int | None = None) -> tuple[int, ...]:
+def enumerate_masks(n: int, limit: int | None = None) -> Sequence[int]:
     """All noncrossing-partition bitsets for [n], lexicographically ordered.
 
-    The result is cached per n; callers must not mutate it.
+    A tuple of ints up to n = 10; from n = 11 on, where C_n reaches
+    :data:`nctoggles.core.VECTOR_MIN_STATES`, a read-only
+    :class:`nctoggles.core.PackedSets` of 8 B per set and 64-bit lane (one
+    lane at n = 11, two from n = 12), against about 48 B per set in a
+    tuple.  The result is cached per n; callers must not mutate it.
     """
     _check_enum_limit(n, limit)
     if n < 0:

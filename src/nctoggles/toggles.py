@@ -21,6 +21,7 @@ from .ncpartition import (
     Arc,
     NCPartition,
     arc_index,
+    arc_tuple,
     catalan,
     check_arc,
     conflict_masks,
@@ -92,6 +93,7 @@ def pair_order(a: Arc, b: Arc, n: int) -> int:
     """
     check_arc(n, a)
     check_arc(n, b)
+    a, b = arc_tuple(a), arc_tuple(b)
     if a == b:
         return 1
     return 2 if commutes(a, b) else 6

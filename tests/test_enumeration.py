@@ -1,14 +1,22 @@
 """The memoised enumeration of :func:`nctoggles.core.independent_sets`
-against the plain recursion in tests/brute.py: the same tuple, order
-included, whatever was enumerated before."""
+against the plain recursion in tests/brute.py: the same sets, order
+included, whatever was enumerated before, packed into lanes from
+:data:`nctoggles.core.VECTOR_MIN_STATES` sets on."""
 
+import random
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brute
 from nctoggles import core
-from nctoggles.core import SMALL_SUBTREE, independent_sets
+from nctoggles.core import (
+    SMALL_SUBTREE,
+    VECTOR_MIN_STATES,
+    PackedSets,
+    independent_sets,
+)
 from nctoggles.ncpartition import (
     _enum_masks_cached,
     arc_index,
@@ -22,9 +30,25 @@ def test_enumerate_masks_equals_the_plain_recursion_to_13():
     # One test: the oracle's side alone takes about half a second at n = 13.
     try:
         for n in range(14):
-            assert enumerate_masks(n, limit=13) == brute.independent_sets(
+            assert tuple(enumerate_masks(n, limit=13)) == brute.independent_sets(
                 conflict_masks(n)
             )
+    finally:
+        _enum_masks_cached.cache_clear()
+
+
+def test_nc_enumerations_pack_from_n_11():
+    # C_10 = 16,796 < 2**15 <= C_11; NC(11) has 55 arc slots, NC(12) 66.
+    assert type(enumerate_masks(10)) is tuple
+    try:
+        for n, lanes in ((11, 1), (12, 2), (13, 2)):
+            states = enumerate_masks(n, limit=13)
+            assert isinstance(states, PackedSets) and len(states.lanes) == lanes
+            # The test above checks iteration against the plain recursion.
+            want = tuple(states)
+            step = len(want) // 1000
+            assert [states[i] for i in range(0, len(want), step)] == list(want[::step])
+            assert states[-3:] == want[-3:] and states[7:9] == want[7:9]
     finally:
         _enum_masks_cached.cache_clear()
 
@@ -55,6 +79,41 @@ def _adj(m, edges):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return tuple(adj)
+
+
+def _threshold_graph(k):
+    """A graph on 2k vertices with exactly 2**(k + 1) - 1 independent sets:
+    k times, add an isolated vertex, then one adjacent to every vertex so
+    far, which takes the count i to 2i + 1, from 1 for no vertices."""
+    adj = []
+    for _ in range(k):
+        adj.append(0)
+        hub = len(adj)
+        adj = [a | 1 << hub for a in adj] + [(1 << hub) - 1]
+    return tuple(adj)
+
+
+def _seeded_graph(seed, m, density):
+    rnd = random.Random(seed)
+    return _adj(m, [pair for pair in combinations(range(m), 2) if rnd.random() < density])
+
+
+@pytest.mark.parametrize(
+    "adj,count,packed",
+    [
+        (_threshold_graph(14), VECTOR_MIN_STATES - 1, False),
+        (tuple([0] * 15), VECTOR_MIN_STATES, True),
+        (_seeded_graph(22, 24, 0.12), 71_556, True),
+    ],
+    ids=["2**15-1", "2**15", "seeded-24"],
+)
+def test_packing_starts_at_vector_min_states(adj, count, packed):
+    want = brute.independent_sets(adj)
+    assert len(want) == count
+    got = independent_sets(adj)
+    assert isinstance(got, PackedSets) is packed
+    assert len(got) == len(want) and list(got) == list(want)
+    assert all(got[i] == want[i] for i in range(0, len(want), 97))
 
 
 @settings(max_examples=15, deadline=None)

@@ -2,6 +2,7 @@
 its numpy engine (n >= 11) against the pure-Python one."""
 
 import importlib.util
+import os
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import brute
 from nctoggles import cli, ncpartition
 from nctoggles.core import (
+    PackedSets,
     _cycle_sizes,
     _pair_tables,
     _pairs_numpy,
@@ -155,14 +157,36 @@ def test_a_table_off_the_closed_form_fails_loudly():
 
 
 def run_python(code: str, *args: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter on this source tree."""
+    """Stdout of ``code`` run in a fresh interpreter on this source tree,
+    with the caller's environment (``PYTHONDONTWRITEBYTECODE`` included)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True,
-        env={"PYTHONPATH": src}, timeout=120,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_a_fresh_interpreter_keeps_the_callers_bytecode_setting(monkeypatch):
+    # Dropping it would let every run_python write .pyc files into src/.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    code = "import os, sys; print(os.environ['PYTHONDONTWRITEBYTECODE'], sys.dont_write_bytecode)"
+    assert run_python(code) == "1 True\n"
+
+
+TRACED_PEAK = """
+import tracemalloc
+from nctoggles.ncpartition import enumerate_masks
+tracemalloc.start()
+enumerate_masks(12)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_the_nc12_enumeration_peaks_below_6_mb():
+    # 208,012 states in two lanes take 3.3 MB; as ints in a tuple, 11 MB.
+    assert int(run_python(TRACED_PEAK)) < 6_000_000
 
 
 CEILING_FIRST = """
@@ -234,6 +258,18 @@ def test_numpy_tables_equal_the_pure_python_build():
         for k in slots:
             assert fast[k].dtype.name == "int32"
             assert fast[k].tobytes() == slow[k].tobytes()
+
+
+@needs_numpy
+@pytest.mark.parametrize("n,slots", [(11, {0, 27, 54}), (12, {0, 63, 64, 65})])
+def test_tables_on_packed_states_equal_those_from_a_tuple(n, slots):
+    # Without numpy, _pairs_python builds the tables from the packed states.
+    states, adj = enumerate_masks(n), conflict_masks(n)
+    assert isinstance(states, PackedSets) and len(states.lanes) == 1 + (n > 11)
+    want = _pairs_numpy(adj, slots, tuple(states))
+    for build in (_pairs_numpy, _pairs_python):
+        got = build(adj, slots, states)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in slots)
 
 
 def repeated_long_arcs(n):

@@ -10,6 +10,7 @@ from nctoggles.ncpartition import (
     conflict_masks,
     enumerate_nc,
     index_arc,
+    validate,
 )
 from nctoggles.toggles import (
     PairType,
@@ -78,6 +79,18 @@ def test_every_arc_taker_rejects_a_bad_arc_alike(arc):
         with pytest.raises(ValueError) as caught:
             call()
         assert str(caught.value) == message
+
+
+def test_every_arc_taker_accepts_a_list_pair():
+    # JSON gives arcs as lists: each taker reads [i, j] as (i, j).
+    assert validate(10, [[1, 4], [4, 5]]) is None
+    assert str(validate(10, [[1, 4], [1, 4]])) == "duplicate: (1,4)"
+    assert str(validate(10, [[0, 4]])) == "out_of_range: (0,4)"
+    assert NCPartition(10, [list(arc) for arc in FIG.arcs()]) == FIG
+    assert ToggleWord(10, [[2, 3], [1, 2]]) == ToggleWord(10, [(2, 3), (1, 2)])
+    assert toggle(FIG, [2, 3]) == toggle(FIG, (2, 3))
+    assert pair_order([1, 2], (1, 2), 10) == 1 and pair_order([1, 3], [2, 4], 10) == 6
+    assert noncommuting_count(10, [1, 4]) == noncommuting_count(10, (1, 4))
 
 
 def test_toggle_matches_bruteforce_and_is_involution():

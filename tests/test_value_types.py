@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from nctoggles.core import PackedSets
 from nctoggles.dynamics import Statistic
 from nctoggles.indsets import Multigraph, SimpleGraph
 from nctoggles.ncpartition import BlockPartition, NCPartition
@@ -48,6 +49,10 @@ CASES = [
     (
         Multigraph.from_text(MULTIGRAPH_TEXT), "edges",
         "Multigraph(['x', 'y', 'z'], [('x', 'y'), ('x', 'y'), ('y', 'z')])", None,
+    ),
+    (
+        PackedSets.of((1, 2**64 + 5, 3), 2), "lanes",
+        "PackedSets(<3 sets in 2 lanes>)", None,
     ),
 ]
 IDS = [type(case[0]).__name__ for case in CASES]
