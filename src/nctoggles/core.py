@@ -17,10 +17,11 @@ Kreweras oracle's thousands of ``within`` searches share one.  For the base
 graph it holds 191 subtrees and 18,321 sets at n = 12 (0.8 MB), 293 and
 34,113 at n = 13 (1.5 MB), 447 and 61,723 at n = 14 (2.8 MB), against
 catalan(n) sets in the enumeration itself.  An enumeration of fewer than
-:data:`VECTOR_MIN_STATES` sets is a tuple of ints; a longer one is a
-:class:`PackedSets`, which holds each set in one or two ``array('Q')``
-lanes, 8 B per lane against about 48 B for an int of more than 64 bits
-and its slot in a tuple, and hands them to numpy without a copy.
+:data:`VECTOR_MIN_STATES` sets is a tuple of ints, and so is one on more
+than 128 vertices, whatever its size; any other is a :class:`PackedSets`,
+which holds each set in one or two ``array('Q')`` lanes, 8 B per lane
+against about 48 B for an int of more than 64 bits and its slot in a
+tuple, and hands them to numpy without a copy.
 
 The orbit engine (:func:`word_orbits`) composes a word on state indices,
 swapping along each toggle's table of index pairs, for NC(n) and graphs
@@ -131,10 +132,12 @@ def independent_sets(adj: Sequence[int], within: int | None = None) -> Sequence[
     The result is a tuple of ints, except that a search of at least
     :data:`VECTOR_MIN_STATES` sets on at most 128 vertices returns a
     :class:`PackedSets`: 8 B per set and 64-bit lane, against about 48 B
-    for an int of more than 64 bits and its slot in a tuple.  Such a search
-    is cut off once its list reaches that size and run again into lanes
-    (:func:`_packed_sets`).  Subtrees with at most :data:`SMALL_SUBTREE`
-    candidates come from the graph's memo (see the module docstring), which
+    for an int of more than 64 bits and its slot in a tuple.  The search is
+    walked once and recorded as blocks: a prefix and the candidates of a
+    subtree listed by the graph's memo (see the module docstring), a lone
+    set being the block of no candidates.  The tuple is built from the
+    blocks; once it reaches that size it is dropped and the same blocks are
+    written into lanes (:func:`_small_subtrees`' ``fields``).  The memo
     keeps the result independent of earlier calls; ``adj`` may be any
     sequence, and equal tables share one memo.
     """
@@ -142,77 +145,44 @@ def independent_sets(adj: Sequence[int], within: int | None = None) -> Sequence[
     small = _small_subtrees(adj)
     root = (1 << len(adj)) - 1 if within is None else within
     cap = VECTOR_MIN_STATES if len(adj) <= 2 * _LANE_BITS else sys.maxsize
-    out: list[int] = []
+    # prefix, candidates, prefix, candidates, ... in lexicographic order.
+    blocks: list[int] = []
 
-    # Depth-first over increasing vertices; emitting the current set before
+    # Depth-first over increasing vertices; recording the current set before
     # descending yields lexicographic order.  A subtree whose candidates are
-    # few is the memoised list of sets inside them, each joined to the prefix.
+    # few is one block.
     def rec(mask: int, avail: int) -> None:
-        out.append(mask)
+        blocks.extend((mask, 0))
         rest = avail
         while rest:
             low = rest & -rest
             rest ^= low
             nxt = rest & ~adj[low.bit_length() - 1]
             if nxt.bit_count() <= SMALL_SUBTREE:
-                out.extend(map((mask | low).__or__, small(nxt)))
-            else:
-                rec(mask | low, nxt)
-        if len(out) >= cap:
-            raise _LongSearch
-
-    try:
-        rec(0, root)
-    except _LongSearch:
-        # Listed sets are dropped and the search runs again into lanes: that
-        # is cheaper than splitting the ints, and no int outlives the call.
-        out.clear()
-        return _packed_sets(adj, root)
-    finally:
-        # rec's closure holds rec, and so ``out``: without this the list
-        # would wait for the cycle collector, which the memo's allocations
-        # can push to a later generation, past the caller's own peak.
-        del rec
-    return tuple(out)
-
-
-class _LongSearch(Exception):
-    """A listing search reached :data:`VECTOR_MIN_STATES` sets."""
-
-
-def _packed_sets(adj: tuple[int, ...], root: int) -> PackedSets:
-    """:func:`independent_sets` of ``adj`` inside ``root``, every set
-    written straight into lanes.
-
-    The search is :func:`independent_sets`' own, but each block of the
-    memo is written at once: the block's lane, as one int of 64-bit fields
-    (:func:`_small_subtrees`), is ORed with the prefix in every field and
-    appended to the lane as bytes; a lone set is the block of no
-    candidates.
-    """
-    fields = _small_subtrees(adj).fields
-    shifts = range(0, _lane_count(len(adj)) * _LANE_BITS, _LANE_BITS)
-    lanes = tuple(array("Q") for _ in shifts)
-
-    def write(prefix: int, avail: int) -> None:
-        size, ones, parts = fields(avail)
-        for lane, part, shift in zip(lanes, parts, shifts):
-            lane.frombytes((part | (prefix >> shift & _LANE_MASK) * ones).to_bytes(size, _ORDER))
-
-    def rec(mask: int, avail: int) -> None:
-        write(mask, 0)
-        rest = avail
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nxt = rest & ~adj[low.bit_length() - 1]
-            if nxt.bit_count() <= SMALL_SUBTREE:
-                write(mask | low, nxt)
+                blocks.extend((mask | low, nxt))
             else:
                 rec(mask | low, nxt)
 
     rec(0, root)
+    # rec's closure holds rec, and so ``blocks``: without this the list
+    # would wait for the cycle collector, which the memo's allocations can
+    # push to a later generation, past the caller's own peak.
     del rec
+    out: list[int] = []
+    for prefix, avail in zip(blocks[::2], blocks[1::2]):
+        out.extend(map(prefix.__or__, small(avail)))
+        if len(out) >= cap:
+            break
+    else:
+        return tuple(out)
+    # No listed int is held while the lanes grow.
+    del out
+    shifts = range(0, _lane_count(len(adj)) * _LANE_BITS, _LANE_BITS)
+    lanes = tuple(array("Q") for _ in shifts)
+    for prefix, avail in zip(blocks[::2], blocks[1::2]):
+        size, ones, parts = small.fields(avail)
+        for lane, part, shift in zip(lanes, parts, shifts):
+            lane.frombytes((part | (prefix >> shift & _LANE_MASK) * ones).to_bytes(size, _ORDER))
     return PackedSets(lanes)
 
 

@@ -484,18 +484,10 @@ def chi_sums_by_orbit(
     masks_orbits: list[list[int]], n: int
 ) -> list[tuple[int, ...]]:
     """Per-orbit vectors of single-arc indicator sums, one entry per arc slot."""
-    slots = arc_slots(n)
-    out = []
-    for orbit in masks_orbits:
-        sums = [0] * slots
-        for mask in orbit:
-            rest = mask
-            while rest:
-                low = rest & -rest
-                sums[low.bit_length() - 1] += 1
-                rest ^= low
-        out.append(tuple(sums))
-    return out
+    return [
+        tuple(sum(m >> k & 1 for m in orbit) for k in range(arc_slots(n)))
+        for orbit in masks_orbits
+    ]
 
 
 def chi_sum_conjugation_check(word: ToggleWord, arc: Arc) -> bool:

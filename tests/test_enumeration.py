@@ -98,22 +98,38 @@ def _seeded_graph(seed, m, density):
     return _adj(m, [pair for pair in combinations(range(m), 2) if rnd.random() < density])
 
 
+def _clique_plus_isolated(m, t):
+    """K_m on vertices 0..m-1 and t isolated vertices after it: (m + 1) * 2**t
+    independent sets."""
+    return tuple((1 << m) - 1 ^ 1 << v for v in range(m)) + (0,) * t
+
+
 @pytest.mark.parametrize(
-    "adj,count,packed",
+    "adj,count,lanes",
     [
-        (_threshold_graph(14), VECTOR_MIN_STATES - 1, False),
-        (tuple([0] * 15), VECTOR_MIN_STATES, True),
-        (_seeded_graph(22, 24, 0.12), 71_556, True),
+        (_threshold_graph(14), VECTOR_MIN_STATES - 1, 0),
+        (tuple([0] * 15), VECTOR_MIN_STATES, 1),
+        (_seeded_graph(22, 24, 0.12), 71_556, 1),
+        # The isolated vertices of K_55 + 10 straddle bit 64; K_119 + 10 has
+        # 129 vertices, too many for two lanes.
+        (_clique_plus_isolated(54, 10), 56_320, 1),
+        (_clique_plus_isolated(55, 10), 57_344, 2),
+        (_clique_plus_isolated(118, 10), 121_856, 2),
+        (_clique_plus_isolated(119, 10), 122_880, 0),
     ],
-    ids=["2**15-1", "2**15", "seeded-24"],
+    ids=["2**15-1", "2**15", "seeded-24", "K54+10", "K55+10", "K118+10", "K119+10"],
 )
-def test_packing_starts_at_vector_min_states(adj, count, packed):
+def test_packing_starts_at_vector_min_states(adj, count, lanes):
     want = brute.independent_sets(adj)
     assert len(want) == count
     got = independent_sets(adj)
-    assert isinstance(got, PackedSets) is packed
+    assert (len(got.lanes) if isinstance(got, PackedSets) else 0) == lanes
     assert len(got) == len(want) and list(got) == list(want)
     assert all(got[i] == want[i] for i in range(0, len(want), 97))
+    # Every third vertex of the first half left out, which keeps each
+    # K_m + 10 search above VECTOR_MIN_STATES.
+    within = (1 << len(adj)) - 1 ^ sum(1 << v for v in range(0, len(adj) // 2, 3))
+    assert independent_sets(adj, within) == brute.independent_sets(adj, within)
 
 
 @settings(max_examples=15, deadline=None)
