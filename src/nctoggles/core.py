@@ -25,8 +25,11 @@ tuple, and hands them to numpy without a copy.
 
 The orbit engine (:func:`word_orbits`) composes a word on state indices,
 swapping along each toggle's table of index pairs, for NC(n) and graphs
-alike.  It runs on numpy when :func:`vectorized` says so; the list engine
-and :func:`orbit_partition` stay its oracles.
+alike.  What a homomesy report needs of the orbits, their sizes and the
+sums of per-state integer columns over each, :func:`orbit_sums` reads off
+the word's image without listing an orbit (:func:`word_orbit_sums` for
+popcount columns).  The engine runs on numpy when :func:`vectorized` says
+so; the list engine and :func:`orbit_partition` stay its oracles.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from array import array
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import TypeVar
 
 S = TypeVar("S")
@@ -170,7 +174,10 @@ def independent_sets(adj: Sequence[int], within: int | None = None) -> Sequence[
     del rec
     out: list[int] = []
     for prefix, avail in zip(blocks[::2], blocks[1::2]):
-        out.extend(map(prefix.__or__, small(avail)))
+        if avail:
+            out.extend(map(prefix.__or__, small(avail)))
+        else:
+            out.append(prefix)
         if len(out) >= cap:
             break
     else:
@@ -286,7 +293,8 @@ def orbit_partition(
 def vectorized(size: int, vertices: int) -> bool:
     """True when a toggle system of ``size`` states on ``vertices`` vertices
     runs on the numpy engine: it has at least :data:`VECTOR_MIN_STATES`
-    states, its states fit two 64-bit lanes, and numpy imports.
+    states, its states fit two 64-bit lanes, and numpy imports and has
+    ``bitwise_count`` (numpy >= 2.0), which :func:`orbit_sums` sums with.
 
     numpy is imported here, on first use, never at package import: a run
     that stays below the threshold never loads it.
@@ -294,10 +302,10 @@ def vectorized(size: int, vertices: int) -> bool:
     if size < VECTOR_MIN_STATES or vertices > 2 * _LANE_BITS:
         return False
     try:
-        import numpy  # noqa: F401
+        import numpy
     except ImportError:
         return False
-    return True
+    return hasattr(numpy, "bitwise_count")
 
 
 @lru_cache(maxsize=8)
@@ -332,10 +340,10 @@ def toggle_pairs(adj: Sequence[int], slots: Iterable[int], states: Sequence[int]
     its own ceiling check; indices point into it.  For each vertex k, a
     table of 2m indices in two halves: ``table[:m]`` holds the states that
     contain k, in increasing order, and ``table[m:]`` their partners,
-    ``table[m + t]`` being state ``table[t]`` without k.  The table is an
-    ``array('i')``, or an int32 ndarray with the same entries on the numpy
-    engine (:func:`vectorized`), whose swap pass reads each half as one
-    contiguous index array.  The toggle swaps each pair and fixes every
+    ``table[m + t]`` being state ``table[t]`` without k.  The table is a
+    list or an ``array('i')`` (:func:`_pairs_python`), or an int32 ndarray
+    with the same entries on the numpy engine (:func:`vectorized`), whose
+    swap pass reads each half as one contiguous index array.  The toggle swaps each pair and fixes every
     other state, so a word acts on indices by swapping along these tables.
     Tables are built once per process (:func:`_pair_tables`) and shared by
     every caller, who must not mutate them; a call builds only the
@@ -356,15 +364,27 @@ def _pairs_python(adj: Sequence[int], slots: set[int], states: Sequence[int]) ->
     The pass appends each pair to its vertex's table, state then partner.
     Each table is then replaced by its halves, one vertex at a time, so the
     build needs room beyond the tables for one vertex's copies only.
+
+    Below :data:`VECTOR_MIN_STATES` states a table is a list whose entries
+    are one shared int object per state index, so :func:`_swap_pass` reads
+    its pairs without making an int: on random qualifying words of NC(8)
+    that pass took 0.20 ms per word against 0.25 ms on ``array('i')``
+    halves (best of 7, 2-core VM), for tables of 0.12 MB against 0.04 MB
+    once every slot is built (1.74 against 0.61 MB at NC(10), the shared
+    ints included).  From that size on the tables are ``array('i')``, 4 B
+    per entry.
     """
-    tables = [array("i") if k in slots else None for k in range(len(adj))]
+    small = len(states) < VECTOR_MIN_STATES
+    ints = list(range(len(states))) if small else range(len(states))
+    new = list if small else lambda: array("i")
+    tables = [new() if k in slots else None for k in range(len(adj))]
     bits = [1 << k for k in range(len(adj))]
-    index = dict(zip(states, range(len(states))))
+    index = dict(zip(states, ints))
     # In lexicographic order a state's parent (the state minus its top
     # vertex) comes earlier, and every state in between extends the parent,
     # so path[:d] holds the vertices of the current state when it has d.
     path = [0] * len(adj)
-    for i, mask in enumerate(states):
+    for i, mask in zip(ints, states):
         d = mask.bit_count()
         if d:
             path[d - 1] = mask.bit_length() - 1
@@ -495,7 +515,7 @@ def _swap_pass_numpy(size: int, word_tables: list):
 
 @lru_cache(maxsize=1)
 def _doubling_buffers(size: int) -> tuple:
-    """Scratch arrays for :func:`_cycle_sizes` on ``size`` indices: the
+    """Scratch arrays for :func:`_cycle_labels` on ``size`` indices: the
     identity and two labels as int32, two steps as intp, and a bool mask.
 
     They are kept for the last size asked, 25 B per index (5.2 MB for
@@ -516,30 +536,25 @@ def _doubling_buffers(size: int) -> tuple:
     )
 
 
-def _cycle_sizes(image) -> list[int]:
-    """The cycle sizes of the permutation ``image`` (an ndarray), in the
-    order of :func:`cycles`, with no cycle listed.
+def _cycle_labels(image):
+    """Each index of the permutation ``image`` (an ndarray) labelled with
+    the least index on its cycle, as an int32 array that is one of
+    :func:`_doubling_buffers` and so valid until the next call.
 
-    Each index is labelled with the least index on its cycle by pointer
-    doubling: after t rounds ``label[i]`` is the least of the 2**t indices
-    that i reaches first.  A round that changes no label leaves each label
-    its cycle's least index.  With L the longest cycle's length, that takes
-    ceil(log2 L) + 1 rounds.  Sorting the labels then puts each cycle's
-    indices in one run, in order of least index, and the run lengths are
-    the sizes.
+    Labels come from pointer doubling: after t rounds ``label[i]`` is the
+    least of the 2**t indices that i reaches first.  A round that changes
+    no label leaves each label its cycle's least index.  With L the longest
+    cycle's length, that takes ceil(log2 L) + 1 rounds.
 
-    Every array lives in :func:`_doubling_buffers`, so a call allocates
-    nothing of the permutation's size.  ``step`` is intp, so every gather
-    runs on contiguous intp indices; the gathers take ``mode="clip"``
-    because numpy copies ``out`` under the default mode, and ``image``,
-    being a permutation, never needs clipping.  ``image`` is not changed.
+    A call allocates nothing of the permutation's size.  ``step`` is intp,
+    so every gather runs on contiguous intp indices; the gathers take
+    ``mode="clip"`` because numpy copies ``out`` under the default mode,
+    and ``image``, being a permutation, never needs clipping.  ``image`` is
+    not changed.
     """
     import numpy as np
 
-    size = len(image)
-    if not size:
-        return []
-    index, label, wider, step, far, same = _doubling_buffers(size)
+    index, label, wider, step, far, same = _doubling_buffers(len(image))
     label[...] = index
     step[...] = image
     while True:
@@ -547,13 +562,125 @@ def _cycle_sizes(image) -> list[int]:
         np.minimum(label, wider, out=wider)
         np.equal(wider, label, out=same)
         if same.all():
-            break
+            return label
         label, wider = wider, label
         np.take(step, step, out=far, mode="clip")
         step, far = far, step
+
+
+def _cycle_sizes(image) -> list[int]:
+    """The cycle sizes of the permutation ``image`` (an ndarray), in the
+    order of :func:`cycles`, with no cycle listed: sorting the labels of
+    :func:`_cycle_labels` in place puts each cycle's indices in one run, in
+    order of least index, and the run lengths are the sizes."""
+    import numpy as np
+
+    size = len(image)
+    if not size:
+        return []
+    label, same = _cycle_labels(image), _doubling_buffers(size)[5]
     label.sort()
     ends = np.flatnonzero(np.not_equal(label[1:], label[:-1], out=same[1:]))
     return np.diff(ends, prepend=-1, append=size - 1).tolist()
+
+
+def orbit_sums(
+    image, columns: Iterable[Sequence[int]]
+) -> tuple[list[int], list[list[int]]]:
+    """The cycle sizes of the permutation ``image`` of state indices, in the
+    order of :func:`cycles`, and for each column (one non-negative int per
+    state index) its sum over each cycle, in the same order; no cycle is
+    listed.
+
+    On a list ``image`` the columns are packed into one int per state, each
+    in a field of ``(max(column) * len(image)).bit_length()`` bits, which no
+    cycle's sum can overflow into the next, the last column unbounded.  One
+    chase then adds up each cycle's packed ints, marking each index it
+    passes in a copy of ``image``, and the fields are read off the sums.
+
+    On an ndarray ``image`` (the numpy engine) the columns are read one at
+    a time and may be any arrays, such as the uint8 popcounts of
+    :func:`word_orbit_sums`: the indices are put in a stable order of their
+    :func:`_cycle_labels`, which runs each cycle in order of least index,
+    and ``np.add.reduceat`` sums each column's runs, accumulating in int64.
+    With no column this is :func:`_cycle_sizes`, which sorts the labels in
+    place and allocates no order.
+    """
+    if not isinstance(image, list):
+        return _orbit_sums_numpy(image, columns)
+    columns = list(columns)
+    # With no column, a column of zeros is summed and dropped.
+    *lower, packed = columns or [bytes(len(image))]
+    widths = [(max(column, default=0) * len(image)).bit_length() for column in lower]
+    for width, column in zip(reversed(widths), reversed(lower)):
+        packed = list(map(operator.add, column, map(width.__rlshift__, packed)))
+    image = image[:]
+    sizes, totals = [], []
+    for i, j in enumerate(image):
+        if j < 0:
+            continue
+        total, size = packed[i], 1
+        while j != i:
+            total += packed[j]
+            size += 1
+            image[j], j = -1, image[j]
+        sizes.append(size)
+        totals.append(total)
+    sums = []
+    for width in widths:
+        sums.append([t & (1 << width) - 1 for t in totals])
+        totals = [t >> width for t in totals]
+    return sizes, (sums + [totals])[:len(columns)]
+
+
+def _orbit_sums_numpy(image, columns: Iterable) -> tuple[list[int], list[list[int]]]:
+    """:func:`orbit_sums` on an ndarray ``image``, reading one column at a
+    time."""
+    import numpy as np
+
+    columns = iter(columns)
+    first = next(columns, None)
+    if first is None:
+        return _cycle_sizes(image), []
+    columns = chain([first], columns)
+    if not len(image):
+        return orbit_sums([], columns)
+    label = _cycle_labels(image)
+    order = np.argsort(label, kind="stable")
+    # A run starts where the ordered labels change.
+    runs, bounds = label[order], _doubling_buffers(len(image))[5]
+    bounds[0] = True
+    np.not_equal(runs[1:], runs[:-1], out=bounds[1:])
+    del runs
+    starts = np.flatnonzero(bounds)
+    sizes = np.diff(starts, append=len(image)).tolist()
+    return sizes, [
+        np.add.reduceat(np.asarray(column)[order], starts, dtype=np.int64).tolist()
+        for column in columns
+    ]
+
+
+def _popcounts(states: Sequence[int], masks: Iterable[int], lanes: int | None):
+    """For each mask M, the column ``(state & M).bit_count()`` over
+    ``states``: a list, or with ``lanes`` a uint8 ndarray read from the
+    states packed in that many lanes (packed first if they are a tuple).
+    A generator, so the numpy engine holds one column at a time."""
+    if lanes is None:
+        for mask in masks:
+            yield list(map(int.bit_count, map(mask.__and__, states)))
+        return
+    import numpy as np
+
+    if not isinstance(states, PackedSets):
+        states = PackedSets.of(states, lanes)
+    words = [np.frombuffer(memoryview(lane).toreadonly(), np.uint64) for lane in states.lanes]
+    for mask in masks:
+        column = np.zeros(len(states), np.uint8)
+        for word in words:
+            if mask & _LANE_MASK:
+                column += np.bitwise_count(word & np.uint64(mask & _LANE_MASK))
+            mask >>= _LANE_BITS
+        yield column
 
 
 def word_orbits(
@@ -569,13 +696,12 @@ def word_orbits(
     return cycles(tuple(states), image if isinstance(image, list) else image.tolist())
 
 
-def word_orbit_sizes(
-    adj: Sequence[int], slots: Sequence[int], states: Sequence[int]
-) -> list[int]:
-    """The sizes of :func:`word_orbits`' orbits, in the same order, with no
-    state read: the list engine chases cycles of indices, and the numpy
-    engine lists no cycle (:func:`_cycle_sizes`)."""
+def word_orbit_sums(
+    adj: Sequence[int], slots: Sequence[int], states: Sequence[int], masks: Iterable[int]
+) -> tuple[list[int], list[list[int]]]:
+    """The sizes of :func:`word_orbits`' orbits, in the same order, and for
+    each mask M the sums of ``(state & M).bit_count()`` over each orbit, by
+    :func:`orbit_sums` on either engine, with no orbit listed."""
     image = _word_image(adj, slots, states)
-    if isinstance(image, list):
-        return list(map(len, cycles(range(len(image)), image)))
-    return _cycle_sizes(image)
+    lanes = None if isinstance(image, list) else _lane_count(len(adj))
+    return orbit_sums(image, _popcounts(states, masks, lanes))

@@ -5,9 +5,12 @@ average of f over every T-orbit is the same constant c ("c-mesic").  All
 arithmetic here is exact; homomesy is never a floating-point comparison.
 Statistics compile to integer term lists (:meth:`Statistic.compile`), a
 report keeps each orbit's integer sum, and its verdict compares orbit
-averages by integer cross-multiplication.  The ``averages`` Fractions are
-built on first read.  :meth:`Statistic.evaluate` and :func:`orbit_average`
-work one partition at a time in Fractions and stay the oracle.
+averages by integer cross-multiplication.  The reports list no orbit: they
+read orbit sizes and per-orbit popcount sums off the word's image
+(:func:`orbit_sums`, on :func:`nctoggles.core.orbit_sums`).  The
+``averages`` Fractions are built on first read.  :meth:`Statistic.evaluate`
+and :func:`orbit_average` work one partition at a time in Fractions and
+stay the oracle.
 
 The central facts verified by this module: for any partial Coxeter word
 containing every short arc (i, i+1), the arc count is (n-1)/2-mesic and the
@@ -19,12 +22,12 @@ homomesic, and the smallest counterexample lives in NC(3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .core import stepper, toggle_pairs, word_orbit_sizes, word_orbits
+from .core import _word_image, stepper, toggle_pairs, word_orbit_sums, word_orbits
 from .ncpartition import (
     Arc,
     NCPartition,
@@ -73,10 +76,25 @@ def orbit_masks(word: ToggleWord, limit: int | None = None) -> list[list[int]]:
     return word_orbits(*_arc_word(word, limit))
 
 
+def orbit_sums(
+    word: ToggleWord, masks, limit: int | None = None
+) -> tuple[list[int], list[list[int]]]:
+    """The sizes of :func:`orbit_masks`' orbits, in the same order, and for
+    each mask M in ``masks`` the per-orbit sums of ``(x & M).bit_count()``,
+    with no orbit listed (:func:`nctoggles.core.word_orbit_sums`)."""
+    return word_orbit_sums(*_arc_word(word, limit), masks)
+
+
 def orbit_sizes(word: ToggleWord, limit: int | None = None) -> list[int]:
-    """The sizes of :func:`orbit_masks`' orbits, in the same order; the
-    numpy engine lists no orbit (:func:`nctoggles.core.word_orbit_sizes`)."""
-    return word_orbit_sizes(*_arc_word(word, limit))
+    """The sizes of :func:`orbit_masks`' orbits, in the same order."""
+    return orbit_sums(word, (), limit)[0]
+
+
+def word_image(word: ToggleWord, limit: int | None = None):
+    """``word`` as a permutation of the indices of ``enumerate_masks(n)``,
+    for :func:`nctoggles.core.orbit_sums` over columns of one value per
+    state; ``limit`` is the enumeration ceiling."""
+    return _word_image(*_arc_word(word, limit))
 
 
 @dataclass(frozen=True)
@@ -292,8 +310,9 @@ class HomomesyReport:
     ``homomesic`` is True when all orbit averages agree; ``mean`` then holds
     the common value.  Otherwise ``counterexample`` names the first two
     orbits (by index) whose averages differ.  Both are decided by integer
-    cross-multiplication; the ``averages`` Fractions are built on first
-    read.  ``precondition`` is None when the hypotheses of the theorem being
+    cross-multiplication, once: the index of the first orbit off orbit 0's
+    average is cached on first read, as are the ``averages`` Fractions.
+    ``precondition`` is None when the hypotheses of the theorem being
     probed hold, else a message — the check still runs, because probing a
     theorem outside its hypotheses is exactly how counterexamples are found.
     """
@@ -315,6 +334,7 @@ class HomomesyReport:
             Fraction(t, den * s) for t, s in zip(self.sums, self.orbit_sizes)
         )
 
+    @cached_property
     def _first_unequal(self) -> int | None:
         """Index of the first orbit whose average differs from orbit 0's:
         t_i / s_i != t_0 / s_0 exactly when t_i * s_0 != t_0 * s_i."""
@@ -328,7 +348,7 @@ class HomomesyReport:
 
     @property
     def homomesic(self) -> bool:
-        return self._first_unequal() is None
+        return self._first_unequal is None
 
     @property
     def mean(self) -> Fraction | None:
@@ -338,7 +358,7 @@ class HomomesyReport:
 
     @property
     def counterexample(self) -> tuple[int, int] | None:
-        j = self._first_unequal()
+        j = self._first_unequal
         return None if j is None else (0, j)
 
     @property
@@ -396,53 +416,63 @@ class HomomesyReport:
         return f"{header}\n{body}\nverdict: {self.verdict}"
 
 
+def stat_masks(stats: list[tuple[str, _LinearForm, Fraction | None]]) -> list[int]:
+    """The distinct masks of the statistics' terms, in order of first use:
+    the popcount columns :func:`homomesy_report` reads its sums from."""
+    return list(dict.fromkeys(m for _, (_, _, terms), _ in stats for m, _ in terms))
+
+
 def homomesy_report(
-    word: str, space: str, orbit_list: list[list[int]],
+    word: str, space: str, sizes: list[int], mask_sums: list[list[int]],
     stats: list[tuple[str, _LinearForm, Fraction | None]],
     precondition: str | None = None,
 ) -> HomomesyReport:
     """The first statistic's report over orbits of bitsets (of NC(n) or of a
     graph), with the others' as its sub-reports.  A statistic is ``(label,
     (den, const, terms), expected_mean)``, the integer linear form of
-    :meth:`Statistic.compile`.  Each distinct mask M of the terms is summed
-    once per orbit, ``sum((x & M).bit_count() for x in orbit)``, and shared
-    by every statistic that uses it.
+    :meth:`Statistic.compile`.  ``sizes`` are the orbit sizes, and
+    ``mask_sums[i]`` holds, for the i-th mask M of :func:`stat_masks`, the
+    sum of ``(x & M).bit_count()`` over each orbit, as
+    :func:`orbit_sums` gives them; each is shared by every statistic that
+    uses its mask.
     """
-    sizes = tuple(map(len, orbit_list))
-    popcounts = {
-        mask: [sum(map(int.bit_count, map(mask.__and__, o))) for o in orbit_list]
-        for mask in {m for _, (_, _, terms), _ in stats for m, _ in terms}
-    }
-    reports = []
-    for label, (den, const, terms), expected_mean in stats:
+    sizes = tuple(sizes)
+    popcounts = dict(zip(stat_masks(stats), mask_sums))
+
+    def report(label, form, expected_mean, sub_reports=()) -> HomomesyReport:
+        den, const, terms = form
         sums = [const * s for s in sizes]
         for mask, w in terms:
             sums = [t + w * p for t, p in zip(sums, popcounts[mask])]
-        reports.append(HomomesyReport(
+        return HomomesyReport(
             word, label, space, sizes, tuple(sums), den, expected_mean, precondition,
-        ))
-    return replace(reports[0], sub_reports=tuple(reports[1:]))
+            sub_reports,
+        )
+
+    first, *rest = stats
+    return report(*first, tuple(report(*stat) for stat in rest))
 
 
 def check_homomesy(
     word: ToggleWord, stat: Statistic, limit: int | None = None
 ) -> HomomesyReport:
     """Decide whether ``stat`` is homomesic under ``word`` on NC(n)."""
-    # orbit_masks runs before compile, so a ceiling error wins over a bad index.
-    return homomesy_report(
-        word.to_text(), f"NC({word.n})", orbit_masks(word, limit),
-        [(stat.label(), stat.compile(word.n), None)],
-    )
+    # The ceiling is checked before compile, so a ceiling error wins over a
+    # bad index.
+    enumerate_masks(word.n, limit)
+    stats = [(stat.label(), stat.compile(word.n), None)]
+    sizes, sums = orbit_sums(word, stat_masks(stats), limit)
+    return homomesy_report(word.to_text(), f"NC({word.n})", sizes, sums, stats)
 
 
 def theorem_report(
     letters: tuple, letter: str, missing: list, required: str, *report
 ) -> HomomesyReport:
-    """:func:`homomesy_report` of ``report``, ``(word, space, orbit_list,
-    stats)``, under a homomesy theorem whose hypotheses are that the word,
-    with ``letters`` in application order, repeats no ``letter`` (it is
-    partial Coxeter) and contains every ``required`` letter; ``missing``
-    lists those it lacks.  Unmet hypotheses become the report's
+    """:func:`homomesy_report` of ``report``, ``(word, space, sizes,
+    mask_sums, stats)``, under a homomesy theorem whose hypotheses are that
+    the word, with ``letters`` in application order, repeats no ``letter``
+    (it is partial Coxeter) and contains every ``required`` letter;
+    ``missing`` lists those it lacks.  Unmet hypotheses become the report's
     precondition.  The paper's two theorems, on NC(n) and on 2-cliquish
     graphs, share it."""
     problems = []
@@ -462,20 +492,24 @@ def verify_arc_count_theorem(word: ToggleWord) -> HomomesyReport:
     """
     n, support = word.n, word.support()
     missing = [(i, i + 1) for i in range(1, n) if (i, i + 1) not in support]
-    alpha, beta = Statistic.alpha().compile(n), Statistic.beta().compile(n)
+    # Statistic.alpha().compile(n) and Statistic.beta().compile(n).
+    full = (1 << arc_slots(n)) - 1
+    alpha, beta = (1, 0, ((full, 1),)), (1, n, ((full, -1),))
+    stats = [("alpha", alpha, Fraction(n - 1, 2)), ("beta", beta, Fraction(n + 1, 2))]
     return theorem_report(
         word.arcs, "an arc", missing, "short arcs", word.to_text(), f"NC({n})",
-        orbit_masks(word),
-        [("alpha", alpha, Fraction(n - 1, 2)), ("beta", beta, Fraction(n + 1, 2))],
+        *orbit_sums(word, stat_masks(stats)), stats,
     )
 
 
 def even_orbits_check(word: ToggleWord) -> tuple[bool, Orbit | None]:
-    """For even n: every orbit size should be even; returns a witness if not."""
+    """For even n: every orbit size should be even; returns a witness if not,
+    the first odd orbit, listed only then."""
     if word.n % 2 != 0:
         raise ValueError(f"even-orbit check needs even n, got {word.n}")
-    for masks in orbit_masks(word):
-        if len(masks) % 2 != 0:
+    for index, size in enumerate(orbit_sums(word, ())[0]):
+        if size % 2 != 0:
+            masks = orbit_masks(word)[index]
             return False, Orbit(tuple(NCPartition._raw(word.n, m) for m in masks))
     return True, None
 

@@ -7,7 +7,9 @@ record the seed in their result, so any falsification is reproducible.
 
 A check is a body decorated with ``@_check(name)`` that returns its PASS
 detail or raises ``CheckFailed(detail)``, listed in ``run_all``.  Build a
-FAIL detail only where it is raised: the hot loops test every state.
+FAIL detail only where it is raised: the hot loops test every state.  The
+word sweeps list no orbit: they read orbit sizes and per-orbit sums off
+each word's image (:func:`nctoggles.core.orbit_sums`).
 
 ``run_all`` runs its checks in forked worker processes, one per available
 CPU, and in-process where only one CPU is available or the platform has no
@@ -26,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Callable
 
-from . import dynamics, indsets, ncpartition, toggles, words
+from . import core, dynamics, indsets, ncpartition, toggles, words
 from .dynamics import Statistic
 from .kreweras import (
     kreweras as kreweras_map,
@@ -139,7 +141,7 @@ def check_nc4_sample_word() -> str:
 @_check("nc6_coxeter_orbit_sizes")
 def check_nc6_orbit_sizes() -> str:
     word = ToggleWord.from_text(6, NC6_COXETER_TEXT)
-    sizes = sorted(map(len, dynamics.orbit_masks(word)))
+    sizes = sorted(dynamics.orbit_sizes(word))
     if sizes != [4, 22, 46, 60]:
         raise CheckFailed(f"orbit sizes {sizes} != [4, 22, 46, 60]")
     return f"orbit sizes {sizes}"
@@ -168,28 +170,6 @@ def check_arc_count_homomesy(
     )
 
 
-def _psi_tables(n: int) -> list:
-    """``(k, psi_k, bounded)`` for each k on NC(n), with psi_k a lookup in
-    a value table and ``bounded`` whether every value is at most 2.
-
-    psi_k is psi_v of the base graph at the short arc (k, k+1).  It
-    depends on the state alone, so each k gets one value table per n.
-    """
-    conflicts = ncpartition.conflict_masks(n)
-    tables = []
-    for k in range(1, n):
-        s = ncpartition.arc_index(n, (k, k + 1))
-        nbrs = conflicts[s]
-        table = {
-            mask: 2 * (mask >> s & 1) + (mask & nbrs).bit_count()
-            for mask in enumerate_masks(n)
-        }
-        # With every value in {0, 1, 2}, #zeros == #twos exactly when
-        # the orbit sum is |O|; otherwise both are counted.
-        tables.append((k, table.__getitem__, max(table.values()) <= 2))
-    return tables
-
-
 @_check("psi_balance")
 def check_psi_balance(
     n_lo: int = 3,
@@ -198,23 +178,53 @@ def check_psi_balance(
     seed: int = DEFAULT_SEED,
 ) -> str:
     ns = range(n_lo, n_hi + 1)
-    tables = {n: _psi_tables(n) for n in ns}
+    # For each n, one packed int per state with 3(n-1) fields of ``width``
+    # bits: psi_1..psi_{n-1}, then whether each is 0, then whether each is
+    # 2.  psi_k is psi_v of the base graph at the short arc (k, k+1).  No
+    # orbit sum carries out of a field, so on an orbit O every psi_k sums
+    # to |O| with as many zeros as twos exactly when the psi block is |O|
+    # in every field and the zeros block equals the twos block.  With
+    # every value in {0, 1, 2} the first implies the second, but a broken
+    # table can let psi_k reach 3, so both are tested.
+    packed = {}
+    for n in ns:
+        states = enumerate_masks(n)
+        conflicts = ncpartition.conflict_masks(n)
+        values = []
+        for k in range(1, n):
+            s = ncpartition.arc_index(n, (k, k + 1))
+            values.append([2 * (m >> s & 1) + (m & conflicts[s]).bit_count() for m in states])
+        width = (max([1, *map(max, values)]) * len(states)).bit_length()
+        is_zero = [[v == 0 for v in vs] for vs in values]
+        is_two = [[v == 2 for v in vs] for vs in values]
+        column = [0] * len(states)
+        for i, field in enumerate(values + is_zero + is_two):
+            column = [c | f << i * width for c, f in zip(column, field)]
+        packed[n] = column, width
     checked = 0
     for n, word in _word_sweep(ns, num_words, seed):
-        orbit_list = dynamics.orbit_masks(word)
-        for k, psi, bounded in tables[n]:
-            for orbit in orbit_list:
-                total = sum(map(psi, orbit))
-                if bounded and total == len(orbit):
-                    continue
-                values = list(map(psi, orbit))
-                zeros, twos = values.count(0), values.count(2)
-                if total != len(orbit) or zeros != twos:
-                    raise CheckFailed(
-                        f"seed={seed} n={n} k={k} word '{word.to_text()}': "
-                        f"orbit sum {total} over {len(orbit)}, "
-                        f"#zeros {zeros} vs #twos {twos}"
+        column, width = packed[n]
+        block = (n - 1) * width
+        low = (1 << block) - 1
+        ones = low // ((1 << width) - 1)
+        sizes, (totals,) = core.orbit_sums(dynamics.word_image(word), [column])
+        if not all(
+            t & low == size * ones and t >> block & low == t >> 2 * block
+            for size, t in zip(sizes, totals)
+        ):
+            # The first failure in the order k, then orbit.
+            for k in range(1, n):
+                for size, t in zip(sizes, totals):
+                    total, zeros, twos = (
+                        t >> (f + k - 1) * width & (1 << width) - 1
+                        for f in (0, n - 1, 2 * n - 2)
                     )
+                    if total != size or zeros != twos:
+                        raise CheckFailed(
+                            f"seed={seed} n={n} k={k} word '{word.to_text()}': "
+                            f"orbit sum {total} over {size}, "
+                            f"#zeros {zeros} vs #twos {twos}"
+                        )
         checked += 1
     return (
         f"{checked} words (n={n_lo}..{n_hi}, seed={seed}): psi_k 1-mesic with "

@@ -5,9 +5,10 @@ labels) with straight-from-the-definition checks: no bitmasks, no shared
 code with the package.  Kept deliberately slow and obvious; usable up to
 about n = 6, or graphs of about 8 vertices.
 
-The one exception is :func:`independent_sets`: the package's plain
-depth-first enumeration over bitsets, kept as the oracle for the order and
-content of the memoised one at sizes the subset filters cannot reach.
+The exceptions work on bitsets: :func:`independent_sets`, the package's
+plain depth-first enumeration, kept as the oracle for the order and
+content of the memoised one at sizes the subset filters cannot reach, and
+:func:`orbit_popcount_sums`, which sums popcounts over listed orbits.
 The edge-removal and toric-search helpers take the package's graph and
 orientation objects, but read only their public fields and accessors.
 """
@@ -119,6 +120,15 @@ def independent_sets(adj, within=None):
 
     rec(0, (1 << len(adj)) - 1 if within is None else within)
     return tuple(out)
+
+
+def orbit_popcount_sums(orbits, masks):
+    """Sizes of listed orbits of bitsets and, for each mask, the bits of the
+    mask set in each orbit's states, counted state by state with ``bin``:
+    the oracle of the package's per-orbit sums, which list no orbit."""
+    sizes = [len(orbit) for orbit in orbits]
+    sums = [[sum(bin(x & m).count("1") for x in orbit) for orbit in orbits] for m in masks]
+    return sizes, sums
 
 
 def graph_independent_sets(vertices, edges):

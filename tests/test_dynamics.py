@@ -298,9 +298,22 @@ def test_precondition_report_serializes():
     assert obj["sub_reports"][0]["statistic"] == "beta"
 
 
+def test_arc_count_reports_equal_the_compiled_statistics():
+    # verify_arc_count_theorem writes the forms of alpha and beta by hand.
+    rng = random.Random(12)
+    for n in range(1, 9):
+        arcs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        word = ToggleWord(n, rng.sample(arcs, k=rng.randint(0, len(arcs))))
+        report = verify_arc_count_theorem(word)
+        for got, stat in zip((report, *report.sub_reports), (Statistic.alpha(), Statistic.beta())):
+            want = check_homomesy(word, stat)
+            assert (got.orbit_sizes, got.sums, got.den) == (want.orbit_sizes, want.sums, want.den)
+
+
 def test_theorem_checks_decompose_through_the_module_attributes(monkeypatch):
-    # bench/run.py times and counts orbit decompositions by rebinding these
-    # module attributes, so each check must reach its orbits through them.
+    # A harness that times and counts orbit decompositions rebinds module
+    # attributes, so each check must reach its orbits through one of them,
+    # once: the reports read orbit sizes and sums, and list no orbit.
     calls = Counter()
 
     def count(module, name):
@@ -312,8 +325,8 @@ def test_theorem_checks_decompose_through_the_module_attributes(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(dynamics, "orbit_masks")
-    count(indsets, "orbit_partition")
+    count(dynamics, "orbit_sums")
+    count(indsets, "word_orbit_sums")
     for check in (
         lambda: check_homomesy(SAMPLE4, Statistic.alpha()),
         lambda: verify_arc_count_theorem(SAMPLE4),
@@ -321,9 +334,9 @@ def test_theorem_checks_decompose_through_the_module_attributes(monkeypatch):
     ):
         calls.clear()
         check()
-        assert calls == {"orbit_masks": 1}
+        assert calls == {"orbit_sums": 1}
     graph, u_set = indsets.complete_minus_edge(4)
     cert = indsets.check_cliquish_with(graph, u_set)
     calls.clear()
     assert indsets.verify_cardinality_homomesy(graph, cert, [1, 2, 3, 4]).holds
-    assert calls == {"orbit_partition": 1}
+    assert calls == {"word_orbit_sums": 1}

@@ -1,13 +1,14 @@
 """The graph side of the toggle-system core against tests/brute.py."""
 
 import random
+from array import array
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brute
-from nctoggles import core, indsets
+from nctoggles import core
 from nctoggles.core import _pairs_numpy, _pairs_python, independent_sets
 from nctoggles.indsets import (
     SimpleGraph,
@@ -129,10 +130,12 @@ def test_numpy_tables_equal_the_pure_python_build_on_graphs(graph):
     assert sorted(fast) == sorted(slow) == sorted(slots)
     for k in slots:
         assert fast[k].dtype.name == "int32"
-        assert fast[k].tobytes() == slow[k].tobytes()
+        # Below 2**15 states the pure-Python tables are lists.
+        assert type(slow[k]) is (list if len(states) < 2**15 else array)
+        assert fast[k].tolist() == list(slow[k])
 
 
-def test_graph_reports_equal_the_stepper_oracle(monkeypatch):
+def test_graph_reports_equal_the_stepper_oracle():
     rng = random.Random(5)
     base = [e for e in combinations(range(7), 2) if rng.random() < 0.3]
     graph, u_set = pendant_double(SimpleGraph(range(7), base))
@@ -144,11 +147,17 @@ def test_graph_reports_equal_the_stepper_oracle(monkeypatch):
     assert orbit_partition(graph, word) == oracle
     cert = check_cliquish_with(graph, u_set)
     fast = verify_cardinality_homomesy(graph, cert, word)
-    monkeypatch.setattr(indsets, "orbit_partition", lambda g, w: oracle)
-    slow = verify_cardinality_homomesy(graph, cert, word)
     assert fast.holds and len(fast.sub_reports) == len(u_set)
-    for got, want in zip((fast, *fast.sub_reports), (slow, *slow.sub_reports)):
-        assert (got.orbit_sizes, got.sums) == (want.orbit_sizes, want.sums)
+    # The reports list no orbit; their sums are checked state by state
+    # over the oracle's orbits.
+    values = {"card": int.bit_count}
+    for u in u_set:
+        v = graph.index_of(u)
+        values[f"psi:{u}"] = lambda x, v=v: 2 * (x >> v & 1) + (x & graph.adj[v]).bit_count()
+    for got in (fast, *fast.sub_reports):
+        value = values[got.statistic]
+        assert got.orbit_sizes == tuple(map(len, oracle))
+        assert got.sums == tuple(sum(map(value, orbit)) for orbit in oracle)
 
 
 @needs_numpy

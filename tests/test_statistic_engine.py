@@ -1,7 +1,8 @@
 """Orbit averages as integer sums over bitsets against the per-state oracle.
 
-On NC(n) the reports sum the term list of ``Statistic.compile`` over
-``orbit_masks``; the oracle is ``orbit_average``, which sums
+On NC(n) the reports sum the term list of ``Statistic.compile`` from the
+per-orbit popcount sums of ``dynamics.orbit_sums``, which lists no orbit;
+the oracle is ``orbit_average``, which sums
 ``Statistic.evaluate`` as Fractions over ``Orbit`` objects.  On graphs the
 reports must equal a Fraction average of ``tests/brute.py`` psi_v and
 cardinality over brute-force orbits.  Verdicts, decided on integer sums by
@@ -149,7 +150,8 @@ LOW_BIT = (1, 0, ((1, 1),))
 
 def test_equal_averages_from_unequal_sums():
     # Orbit sizes 2 and 4 with sums 1 and 2: both average 1/2.
-    report = homomesy_report("w", "X", [[1, 0], [0, 1, 1, 0]], [("x", LOW_BIT, None)])
+    # The orbits [1, 0] and [0, 1, 1, 0] hold 1 and 2 states with the low bit.
+    report = homomesy_report("w", "X", [2, 4], [[1, 2]], [("x", LOW_BIT, None)])
     assert report.sums == (1, 2) and report.orbit_sizes == (2, 4)
     assert report.homomesic and report.counterexample is None
     assert report.mean == Fraction(1, 2) and report.verdict == "1/2-mesic"
@@ -159,7 +161,8 @@ def test_equal_averages_from_unequal_sums():
 
 def test_unequal_averages_from_equal_sums():
     # Orbit sizes 2 and 4 with sums 2 and 2: they average 1 and 1/2.
-    report = homomesy_report("w", "X", [[1, 1], [1, 0, 0, 1]], [("x", LOW_BIT, None)])
+    # The orbits [1, 1] and [1, 0, 0, 1] each hold 2 states with the low bit.
+    report = homomesy_report("w", "X", [2, 4], [[2, 2]], [("x", LOW_BIT, None)])
     assert report.sums == (2, 2) and report.orbit_sizes == (2, 4)
     assert not report.homomesic and report.mean is None
     assert report.counterexample == (0, 1)
