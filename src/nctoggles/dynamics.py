@@ -7,7 +7,9 @@ Statistics compile to integer term lists (:meth:`Statistic.compile`), a
 report keeps each orbit's integer sum, and its verdict compares orbit
 averages by integer cross-multiplication.  The reports list no orbit: they
 read orbit sizes and per-orbit popcount sums off the word's image
-(:func:`orbit_sums`, on :func:`nctoggles.core.orbit_sums`).  The
+(:func:`orbit_sums`, on :func:`nctoggles.core.orbit_sums`), and so do the
+even-orbit check, which lists an orbit only as its witness, and the
+conjugation check, which compares images.  The
 ``averages`` Fractions are built on first read.  :meth:`Statistic.evaluate`
 and :func:`orbit_average` work one partition at a time in Fractions and
 stay the oracle.
@@ -27,7 +29,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .core import _word_image, stepper, toggle_pairs, word_orbit_sums, word_orbits
+from . import core
+from .core import _word_image, toggle_pairs, word_orbit_sums, word_orbits
 from .ncpartition import (
     Arc,
     NCPartition,
@@ -507,47 +510,33 @@ def even_orbits_check(word: ToggleWord) -> tuple[bool, Orbit | None]:
     the first odd orbit, listed only then."""
     if word.n % 2 != 0:
         raise ValueError(f"even-orbit check needs even n, got {word.n}")
-    for index, size in enumerate(orbit_sums(word, ())[0]):
+    for index, size in enumerate(orbit_sizes(word)):
         if size % 2 != 0:
-            masks = orbit_masks(word)[index]
-            return False, Orbit(tuple(NCPartition._raw(word.n, m) for m in masks))
+            return False, orbits(word)[index]
     return True, None
-
-
-def chi_sums_by_orbit(
-    masks_orbits: list[list[int]], n: int
-) -> list[tuple[int, ...]]:
-    """Per-orbit vectors of single-arc indicator sums, one entry per arc slot."""
-    return [
-        tuple(sum(m >> k & 1 for m in orbit) for k in range(arc_slots(n)))
-        for orbit in masks_orbits
-    ]
 
 
 def chi_sum_conjugation_check(word: ToggleWord, arc: Arc) -> bool:
     """Verify conjugation by a source maps orbits to orbits of equal size
-    with identical per-arc indicator sums.
+    with identical per-arc indicator sums, on the words' images.
 
-    The orbit correspondence sends an orbit O of the word to the image of O
-    under the conjugating toggle, which is an orbit of the conjugated word.
-    Raises if ``arc`` is not a source (the conjugation must be admissible).
+    With F the toggle at the source, the conjugate of the word T is
+    T' = F T F.  The check first requires T' F = F T on every state index,
+    so that F carries each orbit O of T onto an orbit F(O) of T' of the
+    same size.  F changes only the source's indicator, so the sums over O
+    and F(O) then agree exactly when F adds the source on O as often as it
+    removes it: as many states of O hold it as are free to take it (its
+    toggleability sums to 0 on O).  Raises if ``arc`` is not a source (the
+    conjugation must be admissible).
     """
     conjugate = admissible_conjugate(word, tuple(arc))  # raises if not a source
-    n = word.n
-    k = arc_index(n, tuple(arc))
-    orig = orbit_masks(word)
-    conj = orbit_masks(conjugate)
-    conj_by_members = {frozenset(o): idx for idx, o in enumerate(conj)}
-    orig_sums = chi_sums_by_orbit(orig, n)
-    conj_sums = chi_sums_by_orbit(conj, n)
-    flip = stepper(conflict_masks(n), [k])
-    for idx, orbit in enumerate(orig):
-        image = frozenset(map(flip, orbit))
-        target = conj_by_members.get(image)
-        if target is None:
-            return False
-        if len(conj[target]) != len(orbit):
-            return False
-        if conj_sums[target] != orig_sums[idx]:
-            return False
-    return True
+    n, k = word.n, arc_index(word.n, tuple(arc))
+    image, conj, flip = map(word_image, (word, conjugate, ToggleWord(n, [arc])))
+    if [conj[i] for i in flip] != [flip[i] for i in image]:
+        return False
+    blocked = 1 << k | conflict_masks(n)[k]
+    states = enumerate_masks(n)
+    held = [m >> k & 1 for m in states]
+    free = [not m & blocked for m in states]
+    _, (removed, added) = core.orbit_sums(image, [held, free])
+    return removed == added

@@ -7,9 +7,11 @@ record the seed in their result, so any falsification is reproducible.
 
 A check is a body decorated with ``@_check(name)`` that returns its PASS
 detail or raises ``CheckFailed(detail)``, listed in ``run_all``.  Build a
-FAIL detail only where it is raised: the hot loops test every state.  The
-word sweeps list no orbit: they read orbit sizes and per-orbit sums off
-each word's image (:func:`nctoggles.core.orbit_sums`).
+FAIL detail only where it is raised: the hot loops test every state.  No
+check lists an orbit: the word sweeps read orbit sizes and per-orbit sums
+off each word's image (:func:`nctoggles.core.orbit_sums`), and the
+conjugation check compares the images of a word, its conjugate and the
+toggle at the source.
 
 ``run_all`` runs its checks in forked worker processes, one per available
 CPU, and in-process where only one CPU is available or the platform has no
@@ -180,12 +182,13 @@ def check_psi_balance(
     ns = range(n_lo, n_hi + 1)
     # For each n, one packed int per state with 3(n-1) fields of ``width``
     # bits: psi_1..psi_{n-1}, then whether each is 0, then whether each is
-    # 2.  psi_k is psi_v of the base graph at the short arc (k, k+1).  No
-    # orbit sum carries out of a field, so on an orbit O every psi_k sums
-    # to |O| with as many zeros as twos exactly when the psi block is |O|
-    # in every field and the zeros block equals the twos block.  With
-    # every value in {0, 1, 2} the first implies the second, but a broken
-    # table can let psi_k reach 3, so both are tested.
+    # 2.  psi_k is psi_v of the base graph at the short arc (k, k+1), with
+    # the terms of ``dynamics.psi_terms``.  No orbit sum carries out of a
+    # field, so on an orbit O every psi_k sums to |O| with as many zeros as
+    # twos exactly when the psi block is |O| in every field and the zeros
+    # block equals the twos block.  With every value in {0, 1, 2} the first
+    # implies the second, but a broken table can let psi_k reach 3, so both
+    # are tested.
     packed = {}
     for n in ns:
         states = enumerate_masks(n)
@@ -193,7 +196,8 @@ def check_psi_balance(
         values = []
         for k in range(1, n):
             s = ncpartition.arc_index(n, (k, k + 1))
-            values.append([2 * (m >> s & 1) + (m & conflicts[s]).bit_count() for m in states])
+            (bit, two), (nbrs, one) = dynamics.psi_terms(conflicts, s)
+            values.append([two * (m & bit).bit_count() + one * (m & nbrs).bit_count() for m in states])
         width = (max([1, *map(max, values)]) * len(states)).bit_length()
         is_zero = [[v == 0 for v in vs] for vs in values]
         is_two = [[v == 2 for v in vs] for vs in values]

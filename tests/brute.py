@@ -7,10 +7,12 @@ about n = 6, or graphs of about 8 vertices.
 
 The exceptions work on bitsets: :func:`independent_sets`, the package's
 plain depth-first enumeration, kept as the oracle for the order and
-content of the memoised one at sizes the subset filters cannot reach, and
-:func:`orbit_popcount_sums`, which sums popcounts over listed orbits.
-The edge-removal and toric-search helpers take the package's graph and
-orientation objects, but read only their public fields and accessors.
+content of the memoised one at sizes the subset filters cannot reach;
+:func:`orbit_popcount_sums`, which sums popcounts over listed orbits; and
+:func:`conjugation_keeps_chi_sums`, which matches listed orbits by their
+members.  The edge-removal and toric-search helpers take the package's
+graph and orientation objects, but read only their public fields and
+accessors.
 """
 
 from dataclasses import replace
@@ -129,6 +131,23 @@ def orbit_popcount_sums(orbits, masks):
     sizes = [len(orbit) for orbit in orbits]
     sums = [[sum(bin(x & m).count("1") for x in orbit) for orbit in orbits] for m in masks]
     return sizes, sums
+
+
+def conjugation_keeps_chi_sums(orbits, conj_orbits, flip, slots):
+    """Whether ``flip`` carries each listed orbit of bitsets onto a listed
+    orbit of ``conj_orbits`` (matched by its members) of the same size with
+    the same count of every bit of ``slots``: the oracle of the package's
+    conjugation check, which lists no orbit."""
+    by_members = {frozenset(orbit): orbit for orbit in conj_orbits}
+
+    def chi(orbit):
+        return [sum(x >> k & 1 for x in orbit) for k in slots]
+
+    for orbit in orbits:
+        target = by_members.get(frozenset(map(flip, orbit)))
+        if target is None or len(target) != len(orbit) or chi(target) != chi(orbit):
+            return False
+    return True
 
 
 def graph_independent_sets(vertices, edges):

@@ -607,6 +607,48 @@ def test_verify_all_json(capsys):
     assert payload["seed"] == 2026
 
 
+#: The ``(name, passed, detail)`` of each check of ``verify-all`` at the CLI
+#: defaults (n <= 7, 100 words, seed 2026); seconds vary from run to run.
+VERIFY_ALL_GOLDEN = [
+    ("catalan_counts", True, "counts match C_n for n <= 7 (C_7 = 429)"),
+    ("nc4_sample_word", True, "5 orbits, sizes [2, 2, 2, 2, 6], every alpha average 3/2"),
+    ("nc6_coxeter_orbit_sizes", True, "orbit sizes [4, 22, 46, 60]"),
+    ("arc_count_homomesy", True,
+     "500 words (n=3..7, seed=2026): alpha (n-1)/2-mesic, beta (n+1)/2-mesic"),
+    ("psi_balance", True,
+     "500 words (n=3..7, seed=2026): psi_k 1-mesic with balanced 0/2 counts per orbit"),
+    ("pair_orders", True, "orders in {1,2,6} and degrees m(n+1-m)-2 for n <= 6"),
+    ("arc_containment_counts", True,
+     "containing = C(n-k)C(k-1), fixed = C_n - 2 containing, symmetric, for n <= 7"),
+    ("kreweras_agreement", True,
+     "oracle = word route, prime/inverse identities, k^2 = rotation, block-count "
+     "sums, for n <= 7"),
+    ("row_column_identity", True, "row and column words equal as permutations for n <= 7"),
+    ("even_orbits", True, "200 words (n in (4, 6), seed=2026): all orbit sizes even"),
+    ("chi13_negative_control", True,
+     "chi:1,3 verdict: not homomesic: orbit 0 averages 1/3, orbit 1 averages 0"),
+    ("independent_set_generalization", True,
+     "base-graph equivalence for n <= 6; K4-e, pendant-doubled, and triangled C6 all "
+     "|U|/2-mesic (20 words each, seed=2026)"),
+    ("skeletal_multigraph_bijection", True,
+     "209 multigraphs with |V|+|E| <= 7 roundtrip; pinned instances match"),
+    ("chi_sum_conjugation", True,
+     "113 single-source conjugations (n <= 5, seed=2026) preserve orbit sizes and chi sums"),
+]
+
+
+def test_verify_all_json_golden(capsys):
+    code, out, _ = run(capsys, "verify-all", "--format", "json")
+    envelope = json.loads(out)
+    assert code == 0 and envelope["config"] == {
+        "command": "verify-all", "format": "json", "max_n": 7, "seed": 2026, "words": 100,
+    }
+    checks = envelope["result"]["checks"]
+    assert all(sorted(c) == ["detail", "name", "passed", "seconds"] for c in checks)
+    assert [(c["name"], c["passed"], c["detail"]) for c in checks] == VERIFY_ALL_GOLDEN
+    assert envelope["result"]["all_passed"] is True
+
+
 def test_unknown_command(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 3

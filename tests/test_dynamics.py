@@ -5,23 +5,22 @@ from fractions import Fraction
 import pytest
 
 import brute
-from nctoggles import dynamics, indsets
+from nctoggles import core, dynamics, indsets
 from nctoggles.core import orbit_partition
 from nctoggles.dynamics import (
     Statistic,
     check_homomesy,
     chi_sum_conjugation_check,
-    chi_sums_by_orbit,
     even_orbits_check,
     orbit_average,
-    orbit_masks,
     orbits,
     parse_statistic,
     verify_arc_count_theorem,
 )
-from nctoggles.ncpartition import NCPartition, catalan, enumerate_nc
-from nctoggles.verify import NC6_COXETER_TEXT, sample_qualifying_word
+from nctoggles.ncpartition import NCPartition, arc_slots, catalan, enumerate_masks, enumerate_nc
+from nctoggles.verify import NC6_COXETER_TEXT, sample_coxeter_word, sample_qualifying_word
 from nctoggles.words import ToggleWord, admissible_conjugate, apply_word, row_word, sources
+from test_orbit_engine import needs_numpy
 
 SAMPLE4 = ToggleWord.from_text(4, "3,4 1,2 2,3 1,4")
 NEGATIVE3 = ToggleWord.from_text(3, "1,3 2,3 1,2")
@@ -252,17 +251,49 @@ def test_chi_sum_conjugation_full_source_sequence_n4():
         current = admissible_conjugate(current, source)
 
 
-def test_chi_sums_by_orbit_match_per_state_arc_counts():
-    rng = random.Random(17)
-    for n in range(2, 7):
-        slots = len(brute.all_arcs(n))
-        for word in (row_word(n), *(sample_qualifying_word(rng, n) for _ in range(3))):
-            masks = orbit_masks(word)
-            expected = [
-                tuple(sum(mask >> k & 1 for mask in orbit) for k in range(slots))
-                for orbit in masks
-            ]
-            assert chi_sums_by_orbit(masks, n) == expected, word
+def _oracle_verdict(word, conjugate, source):
+    """The conjugation verdict of both words' orbits, listed by steppers and
+    matched by their members."""
+    states = enumerate_masks(word.n)
+    return brute.conjugation_keeps_chi_sums(
+        orbit_partition(states, word.stepper()),
+        orbit_partition(states, conjugate.stepper()),
+        ToggleWord(word.n, [source]).stepper(),
+        range(arc_slots(word.n)),
+    )
+
+
+@pytest.mark.parametrize("wrong", [None, lambda word: word, ToggleWord.inverse])
+def test_chi_sum_conjugation_check_matches_the_orbit_matching_oracle(monkeypatch, wrong):
+    # Every source of seeded Coxeter and qualifying words, with the true
+    # conjugate and with the word itself or its inverse in its place.  The
+    # check asks the toggle at the source to commute the two words state by
+    # state, which is stronger than the oracle's matching of orbits as sets:
+    # a wrong conjugate may pass the oracle, but nothing the oracle rejects
+    # may pass the check.
+    if wrong is not None:
+        monkeypatch.setattr(dynamics, "admissible_conjugate", lambda word, arc: wrong(word))
+    rng, verdicts = random.Random(25), Counter()
+    for n in range(2, 8):
+        for _ in range(10):
+            for word in (sample_coxeter_word(rng, n), sample_qualifying_word(rng, n)):
+                for source in sorted(sources(word)):
+                    conjugate = dynamics.admissible_conjugate(word, source)
+                    verdict = chi_sum_conjugation_check(word, source)
+                    oracle = _oracle_verdict(word, conjugate, source)
+                    assert verdict == oracle if wrong is None else verdict <= oracle
+                    verdicts[verdict, oracle] += 1
+    # Every true conjugate passes; both reject some wrong ones.
+    assert set(verdicts) == {(True, True)} if wrong is None else verdicts[False, False]
+
+
+@needs_numpy
+def test_chi_sum_conjugation_check_matches_the_oracle_on_the_numpy_engine():
+    word = sample_coxeter_word(random.Random(25), 11)
+    assert core.vectorized(catalan(11), arc_slots(11))
+    source = min(sources(word))
+    conjugate = admissible_conjugate(word, source)
+    assert chi_sum_conjugation_check(word, source) == _oracle_verdict(word, conjugate, source)
 
 
 @pytest.mark.parametrize("wrong", [lambda word: word, ToggleWord.inverse])

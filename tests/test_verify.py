@@ -8,7 +8,7 @@ import os
 import pytest
 
 import brute
-from nctoggles import core, kreweras, ncpartition, toggles, verify, words
+from nctoggles import core, dynamics, indsets, kreweras, ncpartition, toggles, verify, words
 from nctoggles.ncpartition import arc_index
 from test_orbit_engine import run_python
 
@@ -228,3 +228,31 @@ def test_psi_balance_counts_zeros_and_twos_when_psi_reaches_3(arcs_13_14_15_comp
         "seed=2026 n=5 k=1 word '2,4 1,4 3,4 1,2 2,5 2,3 4,5': orbit sum 8 "
         "over 6, #zeros 0 vs #twos 2",
     )
+
+
+def test_psi_balance_compares_zeros_with_twos_when_every_psi_sum_is_right(monkeypatch):
+    # One orbit of 3 states at n = 3, in 4-bit fields: psi_1 and psi_2 sum
+    # to 3 each, psi_1 is 0 twice and psi_2 never, and neither is ever 2.
+    # Only the zeros-against-twos comparisons can find this orbit.
+    total = 3 | 3 << 4 | 2 << 8
+    monkeypatch.setattr(verify.core, "orbit_sums", lambda image, columns: ([3], [[total]]))
+    result = verify.check_psi_balance(3, 3, 1)
+    assert (result.passed, result.detail) == (
+        False,
+        "seed=2026 n=3 k=1 word '1,3 1,2 2,3': orbit sum 3 over 3, #zeros 2 vs #twos 0",
+    )
+
+
+def _lists_an_orbit(*args, **kwargs):
+    raise AssertionError("a check listed an orbit")
+
+
+def test_no_check_lists_an_engine_orbit(monkeypatch):
+    # Every check reads orbit sizes and sums off word images.
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(dynamics, "orbit_masks", _lists_an_orbit)
+    monkeypatch.setattr(indsets, "orbit_partition", _lists_an_orbit)
+    for module in (core, dynamics, indsets):
+        monkeypatch.setattr(module, "word_orbits", _lists_an_orbit)
+    results = verify.run_all(max_n=5, num_words=3)
+    assert [(r.name, r.passed) for r in results] == [(name, True) for name in CHECK_NAMES]
