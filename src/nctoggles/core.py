@@ -30,6 +30,17 @@ sums of per-state integer columns over each, :func:`orbit_sums` reads off
 the word's image without listing an orbit (:func:`word_orbit_sums` for
 popcount columns).  The engine runs on numpy when :func:`vectorized` says
 so; the list engine and :func:`orbit_partition` stay its oracles.
+
+Past its enumeration and swap tables, the numpy engine holds the image
+(4 B per state) and one scratch arena (:func:`_arena`, 25 B per state)
+that every warm call works in, so it allocates nothing else of the state
+count but one popcount column (1 B per state) at a time.  On the row word
+a cold ``orbits N --sizes-only`` peaks at 50.7 MB RSS at n = 12
+(255 B per state), 102.7 MB at n = 13 (145 B) and 294.7 MB at n = 14
+(116 B), and ``homomesy N --stat alpha`` at 55.6, 112.0 and 319.2 MB
+(280, 158 and 125 B), most of its excess being its JSON report of one
+object per orbit (2-core VM, Python 3.11, numpy 2.4;
+``python tools/peak_rss.py 12 13 14``).
 """
 
 from __future__ import annotations
@@ -69,6 +80,11 @@ _LANE_BITS = 64
 _LANE_MASK = (1 << _LANE_BITS) - 1
 #: Byte order of ``array('Q')``, in which lane bytes are written.
 _ORDER = sys.byteorder
+
+
+class EngineRefusal(RuntimeError):
+    """The numpy engine cannot build this system's swap tables exactly (two
+    states share a search key), so it refuses rather than guess."""
 
 
 def _lane_count(vertices: int) -> int:
@@ -320,13 +336,13 @@ def _pair_tables(adj: tuple[int, ...]) -> dict:
     They cost 8 B per pair (two int32 entries, one in each half of the
     table): for NC(n) about 9.2 MB at n = 12 and 35.7 MB at n = 13 once
     every slot is built.  They stay int32: the numpy swap pass casts a
-    table to intp for the one toggle it applies and drops the copy, since
-    intp tables would double the store.  The numpy build of every slot of
-    NC(12) takes about 0.2 s, against 0.9 s for the pure-Python one, and it
-    holds no per-state dict: with the states packed, a cold
-    ``orbits N --sizes-only`` of the row word peaks at 52 MB RSS at n = 12,
+    table to intp in the :func:`_arena` for the one toggle it applies,
+    since intp tables would double the store.  The numpy build of every
+    slot of NC(12) takes about 0.2 s, against 0.9 s for the pure-Python
+    one, and it holds no per-state dict: with the states packed, a cold
+    ``orbits N --sizes-only`` of the row word peaks at 51 MB RSS at n = 12,
     against 59 MB on the pure-Python engine though numpy itself takes
-    11 MB, and at 105 MB at n = 13 against 180 MB (2-core VM, Python 3.11,
+    11 MB, and at 103 MB at n = 13 against 180 MB (2-core VM, Python 3.11,
     numpy 2.4; ``tools/peak_rss.py``).
     """
     return {}
@@ -406,12 +422,12 @@ def _pairs_numpy(adj: Sequence[int], slots: set[int], states: Sequence[int]) -> 
     The states are read as uint64 arrays straight from the lanes of a
     :class:`PackedSets`; a tuple is packed first.  On one lane a state is
     its own key; on two, ``lo`` (vertices 0..63) and ``hi`` are keyed by
-    ``lo ^ (hi * 0x9E3779B97F4A7C15)`` (mod 2**64).  Equal keys raise,
-    and every partner found is compared lane by lane with the state sought,
-    so the tables are exact or the build fails.  The toggle at k maps the
-    states holding k one to one onto the states where k can be added (no
-    bit of ``1 << k | adj[k]``), so those are counted, and holders of
-    another number raise.  The tables are views of one buffer, sized by
+    ``lo ^ (hi * 0x9E3779B97F4A7C15)`` (mod 2**64).  Equal keys raise
+    :class:`EngineRefusal`, and every partner found is compared lane by
+    lane with the state sought, so the tables are exact or the build
+    fails.  The toggle at k maps the states holding k one to one onto the
+    states where k can be added (no bit of ``1 << k | adj[k]``), so those
+    are counted, and holders of another number raise.  The tables are views of one buffer, sized by
     those counts, so that they do not scatter through the heap among the
     build's temporaries; each is written as its two halves, ``i`` then ``j``.
     """
@@ -436,7 +452,9 @@ def _pairs_numpy(adj: Sequence[int], slots: set[int], states: Sequence[int]) -> 
     order = np.argsort(keys).astype(np.int32)
     keys = keys[order]
     if (keys[1:] == keys[:-1]).any():
-        raise RuntimeError("two states share a 64-bit key")
+        raise EngineRefusal(
+            "two states share a 64-bit key, so the numpy engine cannot index them exactly"
+        )
     slots = sorted(slots)
     (hits, more), sizes = np.empty((2, len(states)), np.bool_), []
     for k in slots:
@@ -496,66 +514,96 @@ def _swap_pass(size: int, word_tables: list) -> list[int]:
 
 
 def _swap_pass_numpy(size: int, word_tables: list):
-    """:func:`_swap_pass` as one fancy-index swap per toggle, returning an
-    int32 ndarray.
+    """:func:`_swap_pass` as one fancy-index swap per toggle, returning a
+    fresh int32 ndarray.
 
     numpy gathers and scatters fastest with contiguous intp indices, so
-    each int32 table is cast once per toggle into one intp array whose two
-    rows are its halves; the copy lives for that toggle only and the
-    stored tables stay int32 (:func:`_pair_tables`).
+    each int32 table is cast into the :func:`_arena`'s ``keys``, and the
+    image at its indices is gathered into ``low``; a table has 2m <=
+    ``size`` entries, so both fit, and the stored tables stay int32
+    (:func:`_pair_tables`).  Past the image itself a call allocates nothing
+    of the state count.
     """
     import numpy as np
 
     image = np.arange(size, dtype=np.int32)
+    low, _, _, indices, _, _ = _arena(size)
     for table in reversed(word_tables):
-        i, j = table.astype(np.intp).reshape(2, -1)
-        image[i], image[j] = image[j], image[i]
+        half = len(table) // 2
+        where = indices[:2 * half]
+        where[...] = table
+        seen = np.take(image, where, out=low[:2 * half], mode="clip")
+        # image[i], image[j] = image[j], image[i] over the table's pairs.
+        image[where[:half]] = seen[half:]
+        image[where[half:]] = seen[:half]
     return image
 
 
 @lru_cache(maxsize=1)
-def _doubling_buffers(size: int) -> tuple:
-    """Scratch arrays for :func:`_cycle_labels` on ``size`` indices: the
-    identity and two labels as int32, two steps as intp, and a bool mask.
+def _arena(size: int) -> tuple:
+    """The numpy engine's one scratch arena for ``size`` states, 25 B per
+    state (5.2 MB for NC(12)): ``(low, high, wide, keys, spare, flags)``,
+    where ``low`` and ``high`` are int32, the two halves of the buffer of
+    the int64 ``wide``, ``keys`` and ``spare`` are int64 (intp on 64-bit
+    platforms) and ``flags`` is bool.
 
-    They are kept for the last size asked, 25 B per index (5.2 MB for
-    NC(12)), and overwritten by every call, which must not overlap another.
-    Fresh arrays on every call came from fresh pages: about 1,000 page
-    faults per warm ``orbits 12 --sizes-only``, 3-4 ms of its 30 ms on a
-    2-core VM, at a cost that swings with the load on the machine.
+    The arrays are kept for the last size asked and overwritten by every
+    engine call, which must not overlap another: :func:`_swap_pass_numpy`
+    casts and gathers its tables in them, :func:`_cycle_labels` doubles in
+    all but ``wide``, :func:`_orbit_sums_numpy` sorts its keys and gathers
+    its columns in them, and :func:`_popcounts` masks and counts its lanes
+    in ``spare`` and ``flags``.  No result of the engine is one of them,
+    except the labels of :func:`_cycle_labels`.  Fresh arrays on every call
+    came from fresh pages: about 1,000 page faults per warm ``orbits 12
+    --sizes-only``, 3-4 ms of its 30 ms on a 2-core VM, at a cost that
+    swings with the load on the machine.  They are four allocations, not
+    views of one block, so that each can reuse heap that the table build
+    freed: one block of 25 B per state took fresh pages, and the
+    ``nc_orbits`` benchmark peaked 1.5 MB higher.
     """
     import numpy as np
 
-    return (
-        np.arange(size, dtype=np.int32),
-        np.empty(size, np.int32),
-        np.empty(size, np.int32),
-        np.empty(size, np.intp),
-        np.empty(size, np.intp),
-        np.empty(size, np.bool_),
-    )
+    wide = np.empty(size, np.int64)
+    low, high = wide.view(np.int32).reshape(2, size)
+    keys, spare = np.empty(size, np.int64), np.empty(size, np.int64)
+    return low, high, wide, keys, spare, np.empty(size, np.bool_)
+
+
+def _iota(out):
+    """``out`` filled with 0, 1, 2, ... in place, by doubling the filled
+    prefix: no array of its size is allocated."""
+    import numpy as np
+
+    out[:1] = 0
+    done = 1
+    while done < len(out):
+        step = min(done, len(out) - done)
+        np.add(out[:step], done, out=out[done:done + step])
+        done += step
+    return out
 
 
 def _cycle_labels(image):
     """Each index of the permutation ``image`` (an ndarray) labelled with
-    the least index on its cycle, as an int32 array that is one of
-    :func:`_doubling_buffers` and so valid until the next call.
+    the least index on its cycle, as an int32 array that is one of the
+    :func:`_arena`'s and so valid only until the next engine call.
 
     Labels come from pointer doubling: after t rounds ``label[i]`` is the
     least of the 2**t indices that i reaches first.  A round that changes
     no label leaves each label its cycle's least index.  With L the longest
     cycle's length, that takes ceil(log2 L) + 1 rounds.
 
-    A call allocates nothing of the permutation's size.  ``step`` is intp,
-    so every gather runs on contiguous intp indices; the gathers take
+    A call allocates nothing of the permutation's size: the labels start as
+    the identity, written in place (:func:`_iota`).  ``step`` is intp, so
+    every gather runs on contiguous intp indices; the gathers take
     ``mode="clip"`` because numpy copies ``out`` under the default mode,
     and ``image``, being a permutation, never needs clipping.  ``image`` is
     not changed.
     """
     import numpy as np
 
-    index, label, wider, step, far, same = _doubling_buffers(len(image))
-    label[...] = index
+    label, wider, _, step, far, same = _arena(len(image))
+    _iota(label)
     step[...] = image
     while True:
         np.take(label, step, out=wider, mode="clip")
@@ -568,6 +616,18 @@ def _cycle_labels(image):
         step, far = far, step
 
 
+def _run_starts(ordered):
+    """The indices where the sorted, nonempty ``ordered`` changes value, 0
+    first: each run is one cycle's.  The comparison is written into the
+    :func:`_arena`'s ``flags``."""
+    import numpy as np
+
+    flags = _arena(len(ordered))[5]
+    flags[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=flags[1:])
+    return np.flatnonzero(flags)
+
+
 def _cycle_sizes(image) -> list[int]:
     """The cycle sizes of the permutation ``image`` (an ndarray), in the
     order of :func:`cycles`, with no cycle listed: sorting the labels of
@@ -575,13 +635,11 @@ def _cycle_sizes(image) -> list[int]:
     order of least index, and the run lengths are the sizes."""
     import numpy as np
 
-    size = len(image)
-    if not size:
+    if not len(image):
         return []
-    label, same = _cycle_labels(image), _doubling_buffers(size)[5]
+    label = _cycle_labels(image)
     label.sort()
-    ends = np.flatnonzero(np.not_equal(label[1:], label[:-1], out=same[1:]))
-    return np.diff(ends, prepend=-1, append=size - 1).tolist()
+    return np.diff(_run_starts(label), append=len(image)).tolist()
 
 
 def orbit_sums(
@@ -599,12 +657,16 @@ def orbit_sums(
     passes in a copy of ``image``, and the fields are read off the sums.
 
     On an ndarray ``image`` (the numpy engine) the columns are read one at
-    a time and may be any arrays, such as the uint8 popcounts of
-    :func:`word_orbit_sums`: the indices are put in a stable order of their
-    :func:`_cycle_labels`, which runs each cycle in order of least index,
-    and ``np.add.reduceat`` sums each column's runs, accumulating in int64.
-    With no column this is :func:`_cycle_sizes`, which sorts the labels in
-    place and allocates no order.
+    a time and may be any integer or bool arrays or lists, such as the
+    uint8 popcounts of :func:`word_orbit_sums`.  The indices are ordered by
+    the packed int64 keys ``label << 32 | index`` of their
+    :func:`_cycle_labels`, sorted in place: the order of a stable sort of
+    the labels, which runs each cycle in order of least index.  Each column
+    is gathered in that order as int64 and ``np.add.reduceat`` sums its
+    runs.  All of it happens in the :func:`_arena`, so a call allocates
+    nothing of the state count but what converting a list column takes.
+    With no column this is :func:`_cycle_sizes`, which sorts the labels
+    themselves.
     """
     if not isinstance(image, list):
         return _orbit_sums_numpy(image, columns)
@@ -635,7 +697,18 @@ def orbit_sums(
 
 def _orbit_sums_numpy(image, columns: Iterable) -> tuple[list[int], list[list[int]]]:
     """:func:`orbit_sums` on an ndarray ``image``, reading one column at a
-    time."""
+    time, in the :func:`_arena`.
+
+    The indices are ordered by the int64 keys ``label << 32 | index``,
+    which are distinct and, sorted in place in ``keys``, give the order of
+    a stable argsort of the labels.  Their high halves, the sorted labels,
+    give the run starts; their low halves, masked in place, are the order.
+    Each column is cast into ``spare`` and gathered in that order into
+    ``wide``, whose runs ``np.add.reduceat`` sums in int64, so no column is
+    copied at its own width or cast at the sum's.  :func:`_popcounts`
+    masks in ``spare`` too, but only while it makes the next column, after
+    this one is summed.
+    """
     import numpy as np
 
     columns = iter(columns)
@@ -646,25 +719,28 @@ def _orbit_sums_numpy(image, columns: Iterable) -> tuple[list[int], list[list[in
     if not len(image):
         return orbit_sums([], columns)
     label = _cycle_labels(image)
-    order = np.argsort(label, kind="stable")
-    # A run starts where the ordered labels change.
-    runs, bounds = label[order], _doubling_buffers(len(image))[5]
-    bounds[0] = True
-    np.not_equal(runs[1:], runs[:-1], out=bounds[1:])
-    del runs
-    starts = np.flatnonzero(bounds)
-    sizes = np.diff(starts, append=len(image)).tolist()
-    return sizes, [
-        np.add.reduceat(np.asarray(column)[order], starts, dtype=np.int64).tolist()
-        for column in columns
-    ]
+    _, _, wide, keys, spare, _ = _arena(len(image))
+    keys[...] = label
+    keys <<= 32
+    keys |= _iota(spare)
+    keys.sort()
+    starts = _run_starts(np.right_shift(keys, 32, out=spare))
+    order = np.bitwise_and(keys, (1 << 32) - 1, out=keys)
+    sums = []
+    for column in columns:
+        spare[...] = column
+        np.take(spare, order, out=wide, mode="clip")
+        sums.append(np.add.reduceat(wide, starts).tolist())
+    return np.diff(starts, append=len(image)).tolist(), sums
 
 
 def _popcounts(states: Sequence[int], masks: Iterable[int], lanes: int | None):
     """For each mask M, the column ``(state & M).bit_count()`` over
     ``states``: a list, or with ``lanes`` a uint8 ndarray read from the
     states packed in that many lanes (packed first if they are a tuple).
-    A generator, so the numpy engine holds one column at a time."""
+    A generator, so the numpy engine holds one column at a time; each lane
+    is masked in the :func:`_arena`'s ``spare`` and counted in its
+    ``flags``."""
     if lanes is None:
         for mask in masks:
             yield list(map(int.bit_count, map(mask.__and__, states)))
@@ -674,11 +750,14 @@ def _popcounts(states: Sequence[int], masks: Iterable[int], lanes: int | None):
     if not isinstance(states, PackedSets):
         states = PackedSets.of(states, lanes)
     words = [np.frombuffer(memoryview(lane).toreadonly(), np.uint64) for lane in states.lanes]
+    _, _, _, _, spare, flags = _arena(len(states))
+    spare, counts = spare.view(np.uint64), flags.view(np.uint8)
     for mask in masks:
         column = np.zeros(len(states), np.uint8)
         for word in words:
             if mask & _LANE_MASK:
-                column += np.bitwise_count(word & np.uint64(mask & _LANE_MASK))
+                np.bitwise_and(word, np.uint64(mask & _LANE_MASK), out=spare)
+                column += np.bitwise_count(spare, out=counts)
             mask >>= _LANE_BITS
         yield column
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from . import core
+from . import core, ncpartition
 from .core import _word_image, toggle_pairs, word_orbit_sums, word_orbits
 from .ncpartition import (
     Arc,
@@ -37,7 +37,6 @@ from .ncpartition import (
     arc_index,
     arc_slots,
     catalan,
-    conflict_masks,
     enumerate_masks,
     index_arc,
 )
@@ -54,7 +53,7 @@ def _arc_word(word: ToggleWord, limit: int | None) -> tuple:
     broken already, and is left for verify's checks to report."""
     n = word.n
     states = enumerate_masks(n, limit)
-    adj, slots = conflict_masks(n), [arc_index(n, arc) for arc in word.arcs]
+    adj, slots = ncpartition.conflict_masks(n), [arc_index(n, arc) for arc in word.arcs]
     tables = toggle_pairs(adj, slots, states)
     if len(states) == catalan(n):
         pairs = _arc_pairs(n)
@@ -206,7 +205,7 @@ class Statistic:
                     raise ValueError(f"psi index {k} out of range for n={n}")
                 # psi_k is psi_v of the base graph at the short arc (k, k+1).
                 s = arc_index(n, (k, k + 1))
-                nbrs = conflict_masks(n)[s]
+                nbrs = ncpartition.conflict_masks(n)[s]
                 value = 2 * (mask >> s & 1) + (mask & nbrs).bit_count()
             total += coeff * value
         return total
@@ -235,7 +234,7 @@ class Statistic:
                 k = key[1]
                 if not (1 <= k <= n - 1):
                     raise ValueError(f"psi index {k} out of range for n={n}")
-                parts += psi_terms(conflict_masks(n), arc_index(n, (k, k + 1)), c)
+                parts += psi_terms(ncpartition.conflict_masks(n), arc_index(n, (k, k + 1)), c)
         weights: dict[int, int] = {}
         for mask, w in parts:  # one term per mask, zero weights dropped
             weights[mask] = weights.get(mask, 0) + w
@@ -534,7 +533,7 @@ def chi_sum_conjugation_check(word: ToggleWord, arc: Arc) -> bool:
     image, conj, flip = map(word_image, (word, conjugate, ToggleWord(n, [arc])))
     if [conj[i] for i in flip] != [flip[i] for i in image]:
         return False
-    blocked = 1 << k | conflict_masks(n)[k]
+    blocked = 1 << k | ncpartition.conflict_masks(n)[k]
     states = enumerate_masks(n)
     held = [m >> k & 1 for m in states]
     free = [not m & blocked for m in states]

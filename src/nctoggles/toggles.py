@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from . import ncpartition
 from .core import orbit_partition, stepper
 from .ncpartition import (
     Arc,
@@ -24,7 +25,6 @@ from .ncpartition import (
     arc_tuple,
     catalan,
     check_arc,
-    conflict_masks,
     enumerate_masks,
 )
 
@@ -80,7 +80,7 @@ def toggle(partition: NCPartition, arc: Arc) -> NCPartition:
     n = partition.n
     check_arc(n, arc)
     return NCPartition._raw(
-        n, stepper(conflict_masks(n), [arc_index(n, arc)])(partition.mask)
+        n, stepper(ncpartition.conflict_masks(n), [arc_index(n, arc)])(partition.mask)
     )
 
 
@@ -106,7 +106,7 @@ def permutation_order(n: int, step) -> int:
 
 def pair_order_observed(a: Arc, b: Arc, n: int) -> int:
     """Oracle for :func:`pair_order` via cycle decomposition."""
-    step = stepper(conflict_masks(n), [arc_index(n, b), arc_index(n, a)])
+    step = stepper(ncpartition.conflict_masks(n), [arc_index(n, b), arc_index(n, a)])
     return permutation_order(n, step)
 
 
@@ -147,7 +147,7 @@ def counts_observed(n: int, i: int, k: int) -> ToggleCounts:
     """Brute-force oracle for :func:`counts` by scanning all of NC(n)."""
     slot = arc_index(n, (i, i + k))
     bit = 1 << slot
-    conflict = conflict_masks(n)[slot]
+    conflict = ncpartition.conflict_masks(n)[slot]
     containing = togglable = fixed = 0
     for mask in enumerate_masks(n):
         if mask & bit:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import core
+from . import core, ncpartition
 from .ncpartition import (
     Arc,
     NCPartition,
@@ -28,7 +28,6 @@ from .ncpartition import (
     arc_tuple,
     arcs_conflict,
     check_arc,
-    conflict_masks,
     enumerate_masks,
     index_arc,
 )
@@ -108,7 +107,7 @@ class ToggleWord:
     def stepper(self):
         """A mask -> mask callable applying this word, one state at a time."""
         return core.stepper(
-            conflict_masks(self.n), [arc_index(self.n, a) for a in self.arcs]
+            ncpartition.conflict_masks(self.n), [arc_index(self.n, a) for a in self.arcs]
         )
 
     def inverse(self) -> "ToggleWord":

@@ -9,7 +9,8 @@ enumeration ceiling raised to n.  Each run is measured by its own
 intermediate interpreter, which waits for it and reads the peak RSS from
 ``RUSAGE_CHILDREN``, so one run's peak never carries into the next.  Prints
 one line per run: the command, its seconds, its peak RSS in MB (Linux
-reports kilobytes) and the sha256 of its stdout.
+reports kilobytes), that peak in bytes per state of NC(n) (catalan(n)
+states) and the sha256 of its stdout.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
+    from nctoggles.ncpartition import catalan
     from nctoggles.words import row_word
 
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -60,7 +62,11 @@ def main(argv: list[str]) -> int:
         ):
             full = [*command, "--word", word, "--format", "json", "--max-n", str(n)]
             seconds, peak, digest = measure(full, env)
-            print(f"{' '.join(command):<24} {seconds:7.2f} s {peak:8.1f} MB  {digest}")
+            per_state = peak * 2**20 / catalan(n)
+            print(
+                f"{' '.join(command):<24} {seconds:7.2f} s {peak:8.1f} MB "
+                f"{per_state:10.1f} B/state  {digest}"
+            )
     return 0
 
 
