@@ -71,7 +71,6 @@ from .toggles import (
     classify_pair,
     commutes,
     counts,
-    counts_observed,
     noncommuting_count,
     pair_order,
     pair_order_observed,

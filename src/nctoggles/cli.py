@@ -437,9 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(option, **graph_options[option])
         common(p, func, with_max_n=False)
 
+    def count(text: str) -> int:
+        # A check that samples no word would pass on nothing.
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+        return int(text)
+
     p = sub.add_parser("verify-all", help="run the full verification suite")
     p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--words", type=int, default=DEFAULT_WORDS)
+    p.add_argument("--words", type=count, default=DEFAULT_WORDS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(p, _cmd_verify_all, with_max_n=False)
     return parser

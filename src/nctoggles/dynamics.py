@@ -485,12 +485,15 @@ def theorem_report(
     return homomesy_report(*report, "; ".join(problems) or None)
 
 
-def verify_arc_count_theorem(word: ToggleWord) -> HomomesyReport:
+def verify_arc_count_theorem(word: ToggleWord, sums=None) -> HomomesyReport:
     """Check that arc count is (n-1)/2-mesic and block count (n+1)/2-mesic.
 
     The hypotheses — the word is partial Coxeter and contains every short
     arc (i, i+1) — are recorded in the report when unmet, and the averages
-    are still computed so near-misses can be inspected.
+    are still computed so near-misses can be inspected.  ``sums``, when
+    given, are the word's orbit sizes and ``[arc counts summed over each
+    orbit]``, as :func:`nctoggles.core.orbit_sums` gives them on its image;
+    else they are computed here.
     """
     n, support = word.n, word.support()
     missing = [(i, i + 1) for i in range(1, n) if (i, i + 1) not in support]
@@ -500,7 +503,7 @@ def verify_arc_count_theorem(word: ToggleWord) -> HomomesyReport:
     stats = [("alpha", alpha, Fraction(n - 1, 2)), ("beta", beta, Fraction(n + 1, 2))]
     return theorem_report(
         word.arcs, "an arc", missing, "short arcs", word.to_text(), f"NC({n})",
-        *orbit_sums(word, stat_masks(stats)), stats,
+        *(sums or orbit_sums(word, stat_masks(stats))), stats,
     )
 
 

@@ -22,6 +22,7 @@ from .ncpartition import (
     Arc,
     NCPartition,
     arc_index,
+    arc_slots,
     arc_tuple,
     catalan,
     check_arc,
@@ -143,17 +144,31 @@ def counts(n: int, i: int, k: int) -> ToggleCounts:
     return ToggleCounts(containing, containing, catalan(n) - 2 * containing)
 
 
-def counts_observed(n: int, i: int, k: int) -> ToggleCounts:
-    """Brute-force oracle for :func:`counts` by scanning all of NC(n)."""
-    slot = arc_index(n, (i, i + k))
-    bit = 1 << slot
-    conflict = ncpartition.conflict_masks(n)[slot]
-    containing = togglable = fixed = 0
-    for mask in enumerate_masks(n):
-        if mask & bit:
-            containing += 1
-        elif mask & conflict:
-            fixed += 1
-        else:
-            togglable += 1
-    return ToggleCounts(containing, togglable, fixed)
+def observed_counts(n: int) -> list[ToggleCounts]:
+    """The counts of every arc over NC(n) as observed, by arc slot: the
+    oracle of :func:`counts`, from one pass over ``enumerate_masks(n)``.
+
+    The pass sets, in a bit column per slot, the index of each state that
+    holds the slot's arc.  An arc's ``containing`` is the popcount of its
+    column; OR-ed with the columns of its conflict slots, the column marks
+    the states that hold the arc or cannot take it, and the others are
+    ``togglable``.
+    """
+    states = enumerate_masks(n)
+    columns = [0] * arc_slots(n)
+    for index, mask in enumerate(states):
+        while mask:
+            low = mask & -mask
+            columns[low.bit_length() - 1] |= 1 << index
+            mask ^= low
+    observed = []
+    for column, conflict in zip(columns, ncpartition.conflict_masks(n)):
+        blocked = column
+        for slot, other in enumerate(columns):
+            if conflict >> slot & 1:
+                blocked |= other
+        containing, held_or_fixed = column.bit_count(), blocked.bit_count()
+        observed.append(
+            ToggleCounts(containing, len(states) - held_or_fixed, held_or_fixed - containing)
+        )
+    return observed

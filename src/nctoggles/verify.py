@@ -16,7 +16,12 @@ toggle at the source.
 ``run_all`` runs its checks in forked worker processes, one per available
 CPU, and in-process where only one CPU is available or the platform has no
 ``fork``.  Either way the results come back in list order, and each check's
-seconds are measured where it ran.
+seconds are measured where it ran.  Its unit of work is a task: one check,
+or ``arc_count_homomesy`` and ``psi_balance`` together over one sweep of
+seeded words (:func:`_theorem_sweep`), each word sampled and imaged once
+and its orbit sums read once for both.  That task's seconds are split, not
+doubled: psi_balance's are its own columns and judgements, and
+arc_count_homomesy's the rest, the shared images and sums among it.
 """
 
 from __future__ import annotations
@@ -149,37 +154,29 @@ def check_nc6_orbit_sizes() -> str:
     return f"orbit sizes {sizes}"
 
 
-@_check("arc_count_homomesy")
-def check_arc_count_homomesy(
-    n_lo: int = 3,
-    n_hi: int = 8,
-    num_words: int = DEFAULT_WORDS,
-    seed: int = DEFAULT_SEED,
-) -> str:
-    checked = 0
-    for n, word in _word_sweep(range(n_lo, n_hi + 1), num_words, seed):
-        report = dynamics.verify_arc_count_theorem(word)
+def _arc_count_judge(seed: int):
+    """The arc-count theorem as a judge of :func:`_theorem_sweep`: its one
+    column holds each state's arc count, whose orbit sums give alpha and
+    beta."""
+
+    def columns(n, states, wide):
+        return [[m.bit_count() for m in states]]
+
+    def judge(n, word, sizes, sums):
+        report = dynamics.verify_arc_count_theorem(word, (sizes, sums))
         beta_report = report.sub_reports[0]
         if not (report.holds and beta_report.holds):
             raise CheckFailed(
                 f"seed={seed} n={n} word '{word.to_text()}': "
                 f"alpha {report.verdict}; beta {beta_report.verdict}"
             )
-        checked += 1
-    return (
-        f"{checked} words (n={n_lo}..{n_hi}, seed={seed}): alpha (n-1)/2-mesic, "
-        f"beta (n+1)/2-mesic"
-    )
+
+    return columns, judge
 
 
-@_check("psi_balance")
-def check_psi_balance(
-    n_lo: int = 3,
-    n_hi: int = 8,
-    num_words: int = DEFAULT_WORDS,
-    seed: int = DEFAULT_SEED,
-) -> str:
-    ns = range(n_lo, n_hi + 1)
+def _psi_judge(seed: int):
+    """psi_k 1-mesic with balanced zeros and twos, as a judge of
+    :func:`_theorem_sweep`."""
     # For each n, one packed int per state with 3(n-1) fields of ``width``
     # bits: psi_1..psi_{n-1}, then whether each is 0, then whether each is
     # 2.  psi_k is psi_v of the base graph at the short arc (k, k+1), with
@@ -188,10 +185,12 @@ def check_psi_balance(
     # twos exactly when the psi block is |O| in every field and the zeros
     # block equals the twos block.  With every value in {0, 1, 2} the first
     # implies the second, but a broken table can let psi_k reach 3, so both
-    # are tested.
-    packed = {}
-    for n in ns:
-        states = enumerate_masks(n)
+    # are tested.  An ndarray image sums in int64, so there the packed int
+    # is cut into columns of ``per`` bits, whole fields of at most 63 bits,
+    # and the judge joins their sums back into one int per orbit.
+    packing = {}
+
+    def columns(n, states, wide):
         conflicts = ncpartition.conflict_masks(n)
         values = []
         for k in range(1, n):
@@ -204,36 +203,133 @@ def check_psi_balance(
         column = [0] * len(states)
         for i, field in enumerate(values + is_zero + is_two):
             column = [c | f << i * width for c, f in zip(column, field)]
-        packed[n] = column, width
-    checked = 0
-    for n, word in _word_sweep(ns, num_words, seed):
-        column, width = packed[n]
+        bits = 3 * (n - 1) * width
+        per = 63 // width * width if wide else bits
+        packing[n] = width, per
+        return [[c >> lo & (1 << per) - 1 for c in column] for lo in range(0, bits, per)]
+
+    def judge(n, word, sizes, sums):
+        width, per = packing[n]
+        totals, *rest = sums
+        for c, column in enumerate(rest, 1):
+            totals = [t | s << c * per for t, s in zip(totals, column)]
         block = (n - 1) * width
         low = (1 << block) - 1
         ones = low // ((1 << width) - 1)
-        sizes, (totals,) = core.orbit_sums(dynamics.word_image(word), [column])
-        if not all(
+        if all(
             t & low == size * ones and t >> block & low == t >> 2 * block
             for size, t in zip(sizes, totals)
         ):
-            # The first failure in the order k, then orbit.
-            for k in range(1, n):
-                for size, t in zip(sizes, totals):
-                    total, zeros, twos = (
-                        t >> (f + k - 1) * width & (1 << width) - 1
-                        for f in (0, n - 1, 2 * n - 2)
+            return
+        # The first failure in the order k, then orbit.
+        for k in range(1, n):
+            for size, t in zip(sizes, totals):
+                total, zeros, twos = (
+                    t >> (f + k - 1) * width & (1 << width) - 1
+                    for f in (0, n - 1, 2 * n - 2)
+                )
+                if total != size or zeros != twos:
+                    raise CheckFailed(
+                        f"seed={seed} n={n} k={k} word '{word.to_text()}': "
+                        f"orbit sum {total} over {size}, "
+                        f"#zeros {zeros} vs #twos {twos}"
                     )
-                    if total != size or zeros != twos:
-                        raise CheckFailed(
-                            f"seed={seed} n={n} k={k} word '{word.to_text()}': "
-                            f"orbit sum {total} over {size}, "
-                            f"#zeros {zeros} vs #twos {twos}"
-                        )
-        checked += 1
-    return (
-        f"{checked} words (n={n_lo}..{n_hi}, seed={seed}): psi_k 1-mesic with "
-        f"balanced 0/2 counts per orbit"
-    )
+
+    return columns, judge
+
+
+#: The checks of the two theorems on qualifying words: name, judge and the
+#: claim a PASS detail states.
+_THEOREMS = (
+    ("arc_count_homomesy", _arc_count_judge,
+     "alpha (n-1)/2-mesic, beta (n+1)/2-mesic"),
+    ("psi_balance", _psi_judge, "psi_k 1-mesic with balanced 0/2 counts per orbit"),
+)
+
+
+def _theorem_sweep(n_lo, n_hi, num_words, seed, theorems=_THEOREMS) -> list:
+    """Judge ``theorems`` (entries of :data:`_THEOREMS`) over one sweep of
+    seeded qualifying words, each word imaged once
+    (:func:`nctoggles.dynamics.word_image`) and one
+    :func:`nctoggles.core.orbit_sums` call on its image summing the columns
+    of every judge still running.
+
+    A judge is ``(columns, judge)``: ``columns(n, states, wide)`` gives its
+    columns over NC(n), once per n, ``wide`` when the image is an ndarray;
+    ``judge(n, word, sizes, sums)`` raises :class:`CheckFailed` on a
+    counterexample.  A judge stops at the first exception it raises, and
+    one raised in the shared sampling, image or sums stops every judge
+    still running.  Returns for each theorem its PASS detail or the
+    exception that stopped it, and the seconds of its own columns and
+    judgements.
+    """
+    judges = [make(seed) for _, make, _ in theorems]
+    outcomes, own, columns, checked = [None] * len(judges), [0.0] * len(judges), {}, 0
+
+    def run(t, part, *args):
+        start = time.perf_counter()
+        try:
+            return judges[t][part](*args)
+        except Exception as exc:
+            outcomes[t] = exc
+        finally:
+            own[t] += time.perf_counter() - start
+
+    try:
+        for n, word in _word_sweep(range(n_lo, n_hi + 1), num_words, seed):
+            image = dynamics.word_image(word)
+            for t, outcome in enumerate(outcomes):
+                if outcome is None and (t, n) not in columns:
+                    columns[t, n] = run(t, 0, n, enumerate_masks(n), not isinstance(image, list))
+            live = [t for t, outcome in enumerate(outcomes) if outcome is None]
+            sizes, sums = core.orbit_sums(image, [c for t in live for c in columns[t, n]])
+            for t in live:
+                count = len(columns[t, n])
+                run(t, 1, n, word, sizes, sums[:count])
+                sums = sums[count:]
+            checked += 1
+            if all(outcomes):
+                break
+    except Exception as exc:
+        outcomes = [outcome or exc for outcome in outcomes]
+    return [
+        (outcome or f"{checked} words (n={n_lo}..{n_hi}, seed={seed}): {claim}", seconds)
+        for (_, _, claim), outcome, seconds in zip(theorems, outcomes, own)
+    ]
+
+
+def _theorem_check(index: int):
+    """The check of ``_THEOREMS[index]`` run alone, on a sweep of its own:
+    the exception that stops its judge is raised."""
+
+    @_check(_THEOREMS[index][0])
+    def check(
+        n_lo: int = 3, n_hi: int = 8, num_words: int = DEFAULT_WORDS, seed: int = DEFAULT_SEED
+    ) -> str:
+        ((outcome, _),) = _theorem_sweep(
+            n_lo, n_hi, num_words, seed, _THEOREMS[index:index + 1]
+        )
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    return check
+
+
+check_arc_count_homomesy = _theorem_check(0)
+check_psi_balance = _theorem_check(1)
+
+
+def _theorem_checks(n_hi: int, num_words: int, seed: int) -> list[CheckResult]:
+    """``arc_count_homomesy`` and ``psi_balance`` as one task, over one
+    :func:`_theorem_sweep` from n = 3: each keeps its own verdict and
+    detail.  psi_balance's seconds are its own columns and judgements;
+    the rest of the task, the shared sampling, images and sums among it,
+    is arc_count_homomesy's."""
+    start = time.perf_counter()
+    (alpha, _), (psi, psi_s) = _theorem_sweep(3, n_hi, num_words, seed)
+    alpha_s = time.perf_counter() - start - psi_s
+    return [_result("arc_count_homomesy", alpha, alpha_s), _result("psi_balance", psi, psi_s)]
 
 
 @_check("pair_orders")
@@ -256,10 +352,11 @@ def check_pair_orders(n_max: int = 6) -> str:
 @_check("arc_containment_counts")
 def check_arc_containment_counts(n_max: int = 10) -> str:
     for n in range(2, n_max + 1):
+        observed = toggles.observed_counts(n)
         for k in range(1, n):
             for i in range(1, n - k + 1):
                 want = toggles.counts(n, i, k)
-                got = toggles.counts_observed(n, i, k)
+                got = observed[ncpartition.arc_index(n, (i, i + k))]
                 if want != got:
                     raise CheckFailed(
                         f"n={n} arc ({i},{i + k}): formula {want}, observed {got}"
@@ -498,14 +595,34 @@ def check_chi_sum_conjugation(
     )
 
 
-def _run_check(name: str, check) -> CheckResult:
-    """Run one check; an exception it raises becomes a FAIL naming it."""
+def _result(name: str, outcome, seconds: float) -> CheckResult:
+    """A check's result from its PASS detail or the exception that stopped
+    it: a counterexample's detail is its message, any other exception's is
+    its type and message."""
+    if isinstance(outcome, str):
+        return CheckResult(name, True, outcome, seconds)
+    if not isinstance(outcome, CheckFailed):
+        outcome = f"{type(outcome).__name__}: {outcome}"
+    return CheckResult(name, False, str(outcome), seconds)
+
+
+def _run_check(names, check) -> list[CheckResult]:
+    """Run one task: a check, with ``names`` its name, or a task of
+    several checks returning their results, with ``names`` their tuple.
+    An exception it raises becomes a FAIL of each of its checks, its
+    seconds counted once, on the first."""
     start = time.perf_counter()
     try:
-        return check()
+        results = check()
+        return results if isinstance(results, list) else [results]
     except Exception as exc:
-        detail = f"{type(exc).__name__}: {exc}"
-        return CheckResult(name, False, detail, time.perf_counter() - start)
+        seconds = time.perf_counter() - start
+        return _failed_task(names, exc, seconds)
+
+
+def _failed_task(names, exc, seconds: float) -> list[CheckResult]:
+    names = (names,) if isinstance(names, str) else names
+    return [_result(name, exc, seconds if i == 0 else 0.0) for i, name in enumerate(names)]
 
 
 #: A forked worker's copy of the ``(name, thunk)`` checks of its ``run_all``.
@@ -519,19 +636,20 @@ def _inherit(checks: list) -> None:
     _inherited = checks
 
 
-def _run_inherited(index: int) -> CheckResult:
+def _run_inherited(index: int) -> list[CheckResult]:
     return _run_check(*_inherited[index])
 
 
 def _run_forked(checks: list, workers: int) -> list[CheckResult]:
     """``_run_check`` over ``checks`` in ``workers`` forked processes, in order.
 
-    A worker that dies breaks its pool, and every check still pending there
-    fails with it, so each of those checks reruns alone in a pool of its
-    own.  The one that dies again is a FAIL naming the abnormal exit; the
-    others get their own verdicts.  Every worker is joined before this
-    returns.  A fork pool starts all of its workers before its own manager
-    thread, so a caller without threads of its own forks none.
+    A worker that dies breaks its pool, and every task still pending there
+    fails with it, so each of those tasks reruns alone in a pool of its
+    own.  The one that dies again is a FAIL of each of its checks naming
+    the abnormal exit; the others get their own verdicts.  Every worker is
+    joined before this returns.  A fork pool starts all of its workers
+    before its own manager thread, so a caller without threads of its own
+    forks none.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -558,11 +676,10 @@ def _run_forked(checks: list, workers: int) -> list[CheckResult]:
             start = time.perf_counter()
             (result,) = run([index], 1)
             if isinstance(result, BrokenProcessPool):
-                detail = f"{type(result).__name__}: {result}"
                 seconds = time.perf_counter() - start
-                result = CheckResult(checks[index][0], False, detail, seconds)
+                result = _failed_task(checks[index][0], result, seconds)
             results[index] = result
-    return results
+    return [result for task in results for result in task]
 
 
 def run_all(
@@ -579,6 +696,10 @@ def run_all(
     ``fork`` is not a start method; a worker that dies is a FAIL of its
     check, not a hang.  The results keep the order of the list below, and
     each check's seconds are measured in the process that ran it.
+    ``arc_count_homomesy`` and ``psi_balance`` run as one task over one
+    sweep (:func:`_theorem_checks`), which fails both if its worker dies;
+    psi_balance's seconds are its own share of the task, and
+    arc_count_homomesy's hold the rest, the shared images among it.
     """
 
     def cap(default: int, floor: int = 2) -> int:
@@ -591,9 +712,8 @@ def run_all(
         ("catalan_counts", lambda: check_catalan_counts(cap(12, 4))),
         ("nc4_sample_word", check_nc4_sample_word),
         ("nc6_coxeter_orbit_sizes", check_nc6_orbit_sizes),
-        ("arc_count_homomesy",
-         lambda: check_arc_count_homomesy(3, cap(8, 3), num_words, seed)),
-        ("psi_balance", lambda: check_psi_balance(3, cap(8, 3), num_words, seed)),
+        (("arc_count_homomesy", "psi_balance"),
+         lambda: _theorem_checks(cap(8, 3), num_words, seed)),
         ("pair_orders", lambda: check_pair_orders(cap(6, 3))),
         ("arc_containment_counts", lambda: check_arc_containment_counts(cap(10, 3))),
         ("kreweras_agreement", lambda: check_kreweras_agreement(cap(8, 3))),
@@ -613,4 +733,4 @@ def run_all(
 
         if "fork" in multiprocessing.get_all_start_methods():
             return _run_forked(checks, workers)
-    return [_run_check(name, check) for name, check in checks]
+    return [result for task in checks for result in _run_check(*task)]

@@ -8,9 +8,9 @@ about n = 6, or graphs of about 8 vertices.
 The exceptions work on bitsets: :func:`independent_sets`, the package's
 plain depth-first enumeration, kept as the oracle for the order and
 content of the memoised one at sizes the subset filters cannot reach;
-:func:`orbit_popcount_sums`, which sums popcounts over listed orbits; and
+:func:`orbit_popcount_sums`, which sums popcounts over listed orbits;
 :func:`conjugation_keeps_chi_sums`, which matches listed orbits by their
-members.  The edge-removal and toric-search helpers take the package's
+members; and :func:`arc_counts`, which scans the states once per arc.  The edge-removal and toric-search helpers take the package's
 graph and orientation objects, but read only their public fields and
 accessors.
 """
@@ -122,6 +122,21 @@ def independent_sets(adj, within=None):
 
     rec(0, (1 << len(adj)) - 1 if within is None else within)
     return tuple(out)
+
+
+def arc_counts(states, adj, slot):
+    """(containing, togglable, fixed) of the arc at ``slot`` over the bitset
+    ``states``, whose conflicts are ``adj``: one scan of the states."""
+    bit, conflict = 1 << slot, adj[slot]
+    containing = togglable = fixed = 0
+    for mask in states:
+        if mask & bit:
+            containing += 1
+        elif mask & conflict:
+            fixed += 1
+        else:
+            togglable += 1
+    return containing, togglable, fixed
 
 
 def orbit_popcount_sums(orbits, masks):

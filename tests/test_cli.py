@@ -596,6 +596,18 @@ def test_verify_all_small(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+@pytest.mark.parametrize("words, message", [
+    ("0", "must be at least 1, got 0"),
+    ("-3", "must be at least 1, got -3"),
+    ("many", "invalid count value: 'many'"),
+])
+def test_verify_all_needs_a_word_to_sample(capsys, words, message):
+    # With no word, three checks would pass on nothing.
+    assert run(capsys, "verify-all", "--words", words) == (
+        3, "", f"error: argument --words: {message}\n"
+    )
+
+
 def test_verify_all_json(capsys):
     code, out, _ = run(
         capsys, "verify-all", "--max-n", "4", "--words", "2", "--format", "json"

@@ -6,8 +6,10 @@ import brute
 from nctoggles.indsets import base_graph
 from nctoggles.ncpartition import (
     NCPartition,
+    arc_index,
     arc_slots,
     conflict_masks,
+    enumerate_masks,
     enumerate_nc,
     index_arc,
     validate,
@@ -18,8 +20,8 @@ from nctoggles.toggles import (
     classify_pair,
     commutes,
     counts,
-    counts_observed,
     noncommuting_count,
+    observed_counts,
     pair_order,
     pair_order_observed,
     toggle,
@@ -215,10 +217,14 @@ def test_counts_examples():
 
 
 def test_counts_matches_observed():
-    for n in range(2, 8):
+    # The closed form, the one-pass counts and the per-arc scan, every arc.
+    for n in range(2, 11):
+        states, adj, observed = enumerate_masks(n), conflict_masks(n), observed_counts(n)
         for k in range(1, n):
             for i in range(1, n - k + 1):
-                assert counts(n, i, k) == counts_observed(n, i, k)
+                slot = arc_index(n, (i, i + k))
+                scanned = ToggleCounts(*brute.arc_counts(states, adj, slot))
+                assert counts(n, i, k) == observed[slot] == scanned
 
 
 def test_counts_symmetry_in_k():

@@ -10,7 +10,7 @@ import pytest
 import brute
 from nctoggles import core, dynamics, indsets, kreweras, ncpartition, verify
 from nctoggles.ncpartition import arc_index
-from test_orbit_engine import run_python
+from test_orbit_engine import needs_numpy, run_python
 
 CHECK_NAMES = [
     "catalan_counts", "nc4_sample_word", "nc6_coxeter_orbit_sizes",
@@ -91,6 +91,125 @@ def test_a_dead_worker_is_a_fail_and_the_rest_still_run():
         "kreweras_agreement False BrokenProcessPool: A process in the process "
         "pool was terminated abruptly while the future was running or pending."
     ]
+
+
+DEAD_SWEEP_WORKER = """
+import os
+from nctoggles import verify
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, real = os.getpid(), verify._theorem_checks
+
+def dies_in_a_worker(*args):
+    if os.getpid() != parent:
+        os._exit(1)
+    return real(*args)
+
+verify._theorem_checks = dies_in_a_worker
+for r in verify.run_all(max_n=4, num_words=2):
+    print(r.name, r.passed, r.detail if not r.passed else "")
+"""
+
+
+def test_a_dead_worker_of_the_shared_sweep_fails_both_of_its_checks():
+    lines = run_python(DEAD_SWEEP_WORKER).splitlines()
+    assert [line.split()[0] for line in lines] == CHECK_NAMES
+    broken = (
+        " False BrokenProcessPool: A process in the process pool was terminated "
+        "abruptly while the future was running or pending."
+    )
+    assert [line for line in lines if " True " not in line] == [
+        "arc_count_homomesy" + broken, "psi_balance" + broken,
+    ]
+
+
+def test_the_shared_sweep_images_each_seeded_word_once(monkeypatch):
+    # Both theorem checks read one image of each word of their sweep, and
+    # decompose no word another way.
+    _cpus(monkeypatch, 1)
+    imaged, sweeping = [], []
+    sweep = verify._theorem_checks
+
+    def count(name):
+        decompose = getattr(dynamics, name)
+
+        def counted(word, *args):
+            if sweeping:
+                imaged.append((name, word.to_text()))
+            return decompose(word, *args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+
+    def shared(*args):
+        sweeping.append(True)
+        try:
+            return sweep(*args)
+        finally:
+            sweeping.clear()
+
+    for name in ("word_image", "orbit_sums", "orbit_sizes", "orbit_masks"):
+        count(name)
+    monkeypatch.setattr(verify, "_theorem_checks", shared)
+    results = verify.run_all(max_n=6, num_words=5, seed=7)
+    assert all(r.passed for r in results)
+    drawn = [word.to_text() for _, word in verify._word_sweep(range(3, 7), 5, 7)]
+    assert imaged == [("word_image", text) for text in drawn]
+
+
+@pytest.mark.parametrize("seam, failed", [
+    ("psi_terms", "psi_balance"), ("verify_arc_count_theorem", "arc_count_homomesy"),
+])
+def test_an_exception_in_one_theorem_check_spares_the_other(monkeypatch, path, seam, failed):
+    monkeypatch.setattr(dynamics, seam, _boom)
+    results = verify.run_all(max_n=4, num_words=2)
+    assert [(r.name, r.detail) for r in results if not r.passed] == [
+        (failed, "RuntimeError: coarsest complement is not unique")
+    ]
+
+
+def test_a_check_run_alone_gives_its_shared_sweep_verdict(monkeypatch):
+    _cpus(monkeypatch, 1)
+    shared = {r.name: r for r in verify.run_all(max_n=5, num_words=4, seed=11)}
+    alone = [
+        verify.check_arc_count_homomesy(3, 5, 4, 11),
+        verify.check_psi_balance(3, 5, 4, 11),
+    ]
+    for result in alone:
+        assert (result.passed, result.detail) == (
+            shared[result.name].passed, shared[result.name].detail
+        )
+
+
+def _engine_triples(monkeypatch):
+    """``check_psi_balance`` and ``check_arc_count_homomesy`` at n = 11 on
+    one word, on the numpy engine and then on the list engine."""
+    assert core.vectorized(ncpartition.catalan(11), ncpartition.arc_slots(11))
+    triples = []
+    for _ in ("numpy", "lists"):
+        results = [check(11, 11, 1) for check in (
+            verify.check_psi_balance, verify.check_arc_count_homomesy
+        )]
+        triples.append([(r.name, r.passed, r.detail) for r in results])
+        monkeypatch.setattr(core, "vectorized", lambda size, vertices: False)
+        _clear_nc_caches()
+    return triples
+
+
+@needs_numpy
+def test_psi_balance_at_n11_sums_the_same_on_both_engines(monkeypatch):
+    # 3(n-1) = 30 fields of 17 bits do not fit one int64 column.
+    numpy, lists = _engine_triples(monkeypatch)
+    assert numpy == lists
+    assert [passed for _, passed, _ in numpy] == [True, True]
+
+
+@needs_numpy
+def test_psi_balance_at_n11_fails_the_same_on_both_engines(
+    arcs_12_and_34_conflict, monkeypatch
+):
+    numpy, lists = _engine_triples(monkeypatch)
+    assert numpy == lists
+    assert numpy[0][2].startswith("seed=2026 n=11 k=1 word ")
+    assert [passed for _, passed, _ in numpy] == [False, False]
 
 
 def _clear_nc_caches():
@@ -217,6 +336,46 @@ BROKEN_TABLE_RESULTS = [
 def test_every_fail_detail_under_a_broken_conflict_table(arcs_12_and_34_conflict, path):
     results = verify.run_all(max_n=5, num_words=3)
     assert _triples(results) == BROKEN_TABLE_RESULTS
+
+
+#: ``run_all(max_n=5, num_words=3)`` with (1,3), (1,4) and (1,5) made
+#: compatible: NC(5) gains seven states, and nine checks fail.
+COMPATIBLE_TABLE_RESULTS = [
+    ("catalan_counts", False, "n=5: 49 != C_5=42"),
+    ("nc4_sample_word", True, "5 orbits, sizes [2, 2, 2, 2, 6], every alpha average 3/2"),
+    ("nc6_coxeter_orbit_sizes", False, "orbit sizes [147] != [4, 22, 46, 60]"),
+    ("arc_count_homomesy", False,
+     "seed=2026 n=5 word '2,4 1,4 3,4 1,2 2,5 2,3 4,5': alpha not homomesic: "
+     "orbit 0 averages 2, orbit 6 averages 13/6; beta not homomesic: orbit 0 "
+     "averages 3, orbit 6 averages 17/6"),
+    ("psi_balance", False,
+     "seed=2026 n=5 k=1 word '2,4 1,4 3,4 1,2 2,5 2,3 4,5': orbit sum 8 over 6, "
+     "#zeros 0 vs #twos 2"),
+    ("pair_orders", False, "n=5 (1, 3),(1, 4): formula 6, observed 2"),
+    ("arc_containment_counts", False,
+     "n=5 arc (1,2): formula ToggleCounts(containing=14, togglable=14, "
+     "fixed=14), observed ToggleCounts(containing=14, togglable=14, fixed=21)"),
+    ("kreweras_agreement", False,
+     "n=5 NCPartition(5, [(1, 2)]): relabeled complement disagrees"),
+    ("row_column_identity", True,
+     "row and column words equal as permutations for n <= 5"),
+    ("even_orbits", True, "3 words (n in (4,), seed=2026): all orbit sizes even"),
+    ("chi13_negative_control", True,
+     "chi:1,3 verdict: not homomesic: orbit 0 averages 1/3, orbit 1 "
+     "averages 0"),
+    ("independent_set_generalization", False,
+     "n=5: independent sets of the base graph differ from NC(n)"),
+    ("skeletal_multigraph_bijection", True,
+     "23 multigraphs with |V|+|E| <= 5 roundtrip; pinned instances match"),
+    ("chi_sum_conjugation", True,
+     "113 single-source conjugations (n <= 5, seed=2026) preserve orbit sizes "
+     "and chi sums"),
+]
+
+
+def test_every_fail_detail_when_more_arcs_are_compatible(arcs_13_14_15_compatible, path):
+    results = verify.run_all(max_n=5, num_words=3)
+    assert _triples(results) == COMPATIBLE_TABLE_RESULTS
 
 
 def test_psi_balance_counts_zeros_and_twos_when_psi_reaches_3(arcs_13_14_15_compatible):
