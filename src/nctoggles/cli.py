@@ -1,8 +1,7 @@
 """Command-line driver: every operation as a reproducible, scriptable run.
 
 Exit codes: 0 = verified / holds, 1 = falsified / counterexample found,
-2 = precondition unmet (including enumeration ceilings and the numpy
-engine's refusal of a state set it cannot index exactly), 3 = usage or
+2 = precondition unmet (including enumeration ceilings), 3 = usage or
 parse error.  JSON output is byte-identical across identical invocations
 and embeds the invocation config, tool version, and seed; only
 ``verify-all`` draws at random and takes ``--seed``, so every other
@@ -23,7 +22,6 @@ import os
 import sys
 
 from . import __version__
-from .core import EngineRefusal
 from .dynamics import check_homomesy, orbit_sizes, orbits, parse_statistic
 from .indsets import (
     GraphSizeError,
@@ -461,7 +459,7 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except (EnumerationLimitError, GraphSizeError, EngineRefusal) as exc:
+    except (EnumerationLimitError, GraphSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION
 

@@ -25,20 +25,22 @@ tuple, and hands them to numpy without a copy.
 
 The orbit engine (:func:`word_orbits`) composes a word on state indices,
 swapping along each toggle's table of index pairs, for NC(n) and graphs
-alike.  What a homomesy report needs of the orbits, their sizes and the
-sums of per-state integer columns over each, :func:`orbit_sums` reads off
-the word's image without listing an orbit (:func:`word_orbit_sums` for
-popcount columns).  The engine runs on numpy when :func:`vectorized` says
-so; the list engine and :func:`orbit_partition` stay its oracles.
+alike.  The numpy engine pairs each toggle's states off one sort of the
+states by value, with no key and no search (:func:`_pairs_numpy`).  What a
+homomesy report needs of the orbits, their sizes and the sums of per-state
+integer columns over each, :func:`orbit_sums` reads off the word's image
+without listing an orbit (:func:`word_orbit_sums` for popcount columns).
+The engine runs on numpy when :func:`vectorized` says so; the list engine
+and :func:`orbit_partition` stay its oracles.
 
 Past its enumeration and swap tables, the numpy engine holds the image
 (4 B per state) and one scratch arena (:func:`_arena`, 25 B per state)
 that every warm call works in, so it allocates nothing else of the state
 count but one popcount column (1 B per state) at a time.  On the row word
 a cold ``orbits N --sizes-only`` peaks at 50.7 MB RSS at n = 12
-(255 B per state), 102.7 MB at n = 13 (145 B) and 294.7 MB at n = 14
-(116 B), and ``homomesy N --stat alpha`` at 55.6, 112.0 and 319.2 MB
-(280, 158 and 125 B), most of its excess being its JSON report of one
+(255 B per state), 102.1 MB at n = 13 (144 B) and 290.4 MB at n = 14
+(114 B), and ``homomesy N --stat alpha`` at 55.2, 112.1 and 319.7 MB
+(278, 158 and 125 B), most of its excess being its JSON report of one
 object per orbit (2-core VM, Python 3.11, numpy 2.4;
 ``python tools/peak_rss.py 12 13 14``).
 """
@@ -80,11 +82,6 @@ _LANE_BITS = 64
 _LANE_MASK = (1 << _LANE_BITS) - 1
 #: Byte order of ``array('Q')``, in which lane bytes are written.
 _ORDER = sys.byteorder
-
-
-class EngineRefusal(RuntimeError):
-    """The numpy engine cannot build this system's swap tables exactly (two
-    states share a search key), so it refuses rather than guess."""
 
 
 def _lane_count(vertices: int) -> int:
@@ -338,12 +335,12 @@ def _pair_tables(adj: tuple[int, ...]) -> dict:
     every slot is built.  They stay int32: the numpy swap pass casts a
     table to intp in the :func:`_arena` for the one toggle it applies,
     since intp tables would double the store.  The numpy build of every
-    slot of NC(12) takes about 0.2 s, against 0.9 s for the pure-Python
-    one, and it holds no per-state dict: with the states packed, a cold
-    ``orbits N --sizes-only`` of the row word peaks at 51 MB RSS at n = 12,
-    against 59 MB on the pure-Python engine though numpy itself takes
-    11 MB, and at 103 MB at n = 13 against 180 MB (2-core VM, Python 3.11,
-    numpy 2.4; ``tools/peak_rss.py``).
+    slot of NC(12) takes about 0.11 s, against 1.0 s for the pure-Python
+    one, and it holds no per-state dict and no search key: with the states
+    packed, a cold ``orbits N --sizes-only`` of the row word peaks at
+    51 MB RSS at n = 12, against 59 MB on the pure-Python engine though
+    numpy itself takes 11 MB, and at 102 MB at n = 13 against 180 MB
+    (2-core VM, Python 3.11, numpy 2.4; ``tools/peak_rss.py``).
     """
     return {}
 
@@ -357,10 +354,13 @@ def toggle_pairs(adj: Sequence[int], slots: Iterable[int], states: Sequence[int]
     table of 2m indices in two halves: ``table[:m]`` holds the states that
     contain k, in increasing order, and ``table[m:]`` their partners,
     ``table[m + t]`` being state ``table[t]`` without k.  The table is a
-    list or an ``array('i')`` (:func:`_pairs_python`), or an int32 ndarray
-    with the same entries on the numpy engine (:func:`vectorized`), whose
-    swap pass reads each half as one contiguous index array.  The toggle swaps each pair and fixes every
-    other state, so a word acts on indices by swapping along these tables.
+    list or an ``array('i')`` (:func:`_pairs_python`, a walk of the
+    lexicographic order with a dict of states), or an int32 ndarray with
+    the same entries on the numpy engine (:func:`vectorized`), built from
+    one sort of the states by value (:func:`_pairs_numpy`), whose swap
+    pass reads each half as one contiguous index array.  The toggle swaps
+    each pair and fixes every other state, so a word acts on indices by
+    swapping along these tables.
     Tables are built once per process (:func:`_pair_tables`) and shared by
     every caller, who must not mutate them; a call builds only the
     requested vertices not built yet.
@@ -417,72 +417,72 @@ def _pairs_python(adj: Sequence[int], slots: set[int], states: Sequence[int]) ->
 
 def _pairs_numpy(adj: Sequence[int], slots: set[int], states: Sequence[int]) -> dict:
     """:func:`toggle_pairs`' tables for ``slots`` as int32 ndarrays, with no
-    per-state dict: each partner is found by binary search on a sorted key.
+    per-state dict and no search: the states are sorted once by value, and
+    each toggle's pairs are read off that order.
 
     The states are read as uint64 arrays straight from the lanes of a
-    :class:`PackedSets`; a tuple is packed first.  On one lane a state is
-    its own key; on two, ``lo`` (vertices 0..63) and ``hi`` are keyed by
-    ``lo ^ (hi * 0x9E3779B97F4A7C15)`` (mod 2**64).  Equal keys raise
-    :class:`EngineRefusal`, and every partner found is compared lane by
-    lane with the state sought, so the tables are exact or the build
-    fails.  The toggle at k maps the states holding k one to one onto the
-    states where k can be added (no bit of ``1 << k | adj[k]``), so those
-    are counted, and holders of another number raise.  The tables are views of one buffer, sized by
-    those counts, so that they do not scatter through the heap among the
-    build's temporaries; each is written as its two halves, ``i`` then ``j``.
+    :class:`PackedSets`; a tuple is packed first.  ``np.lexsort`` orders
+    them by value, high lane first.  Taking k away is strictly increasing on
+    the states that hold k and maps them one to one onto the states where k
+    can be added (no bit of ``1 << k | adj[k]``), so in value order the t-th
+    holder's partner is the t-th state free to take k.  Per vertex, one
+    uint8 code per state (2 holds k, 0 free to take it) is gathered in that
+    order, the pairs are scattered by holder into one intp array of the
+    state count, and the partners are read from it in index order.  A
+    repeated state, holders and free states of different numbers, or a
+    partner that differs lane by lane from its holder minus k raises, so
+    the tables are exact or the build fails.  The tables are views of one
+    buffer, sized by the counts of holders, so that they do not scatter
+    through the heap among the build's temporaries.
     """
     import numpy as np
 
     if not isinstance(states, PackedSets):
         states = PackedSets.of(states, _lane_count(len(adj)))
     lanes = [np.frombuffer(memoryview(lane).toreadonly(), np.uint64) for lane in states.lanes]
-    spread = np.uint64(0x9E3779B97F4A7C15)
+    # The order and the partners are intp, which numpy indexes with no
+    # cast, and the partners are allocated before any temporary: allocated
+    # after the count pass, they left freed heap under the tables, and a
+    # cold ``orbits 13`` peaked 2.8 MB higher.
+    holds, hits, more = np.empty((3, len(states)), np.bool_)
+    partner = np.empty(len(states), np.intp)
+    order = np.lexsort(lanes)
 
-    def keyed(parts: list):
-        low, *high = parts
-        return low ^ high[0] * spread if high else low
+    def parts(mask: int) -> list:
+        return [np.uint64(mask >> _LANE_BITS * h & _LANE_MASK) for h in range(len(lanes))]
 
-    # Whether each entry of ``lane`` meets ``bits``, as bools into ``out``:
-    # the uint64 AND is cast in the ufunc's small buffers, so it makes no
-    # temporary of 8 B per state, and a bool array is the fastest to search.
-    def meets(lane, bits: int, out):
-        return np.bitwise_and(lane, np.uint64(bits), out=out, casting="unsafe")
+    # Whether each state meets the bitset ``mask``, as bools into ``out``:
+    # each uint64 AND is cast in the ufunc's small buffers, so it makes no
+    # temporary of 8 B per state.
+    def meets(mask: int, out):
+        low, *high = parts(mask)
+        np.bitwise_and(lanes[0], low, out=out, casting="unsafe")
+        for lane, part in zip(lanes[1:], high):
+            if part:
+                np.logical_or(out, np.bitwise_and(lane, part, out=more, casting="unsafe"), out=out)
+        return out
 
-    keys = keyed(lanes)
-    order = np.argsort(keys).astype(np.int32)
-    keys = keys[order]
-    if (keys[1:] == keys[:-1]).any():
-        raise EngineRefusal(
-            "two states share a 64-bit key, so the numpy engine cannot index them exactly"
-        )
+    if np.logical_and.reduce([np.diff(lane[order]) == 0 for lane in lanes]).any():
+        raise RuntimeError("a state is listed twice, so its swap partners are ambiguous")
     slots = sorted(slots)
-    (hits, more), sizes = np.empty((2, len(states)), np.bool_), []
-    for k in slots:
-        mask = 1 << k | adj[k]
-        meets(lanes[0], mask & _LANE_MASK, hits)
-        for lane in lanes[1:]:
-            hits |= meets(lane, mask >> _LANE_BITS, more)
-        sizes.append(len(states) - np.count_nonzero(hits))
-    del more
+    sizes = [np.count_nonzero(meets(1 << k, hits)) for k in slots]
     flat, start = np.empty(2 * sum(sizes), np.int32), 0
-    out = {}
+    codes, out = holds.view(np.uint8), {}
     for k, size in zip(slots, sizes):
-        half, bit = divmod(k, _LANE_BITS)
-        i = np.flatnonzero(meets(lanes[half], 1 << bit, hits))
-        partner = [lane[i] for lane in lanes]
-        partner[half] ^= np.uint64(1 << bit)
-        # The search runs about twice as fast on sorted queries.
-        queries = keyed(partner)
-        by_key = np.argsort(queries)
-        pos = np.searchsorted(keys, queries[by_key])
-        j = np.empty_like(order, shape=len(i))
-        j[by_key] = order[np.minimum(pos, len(states) - 1)]
-        if not all((lane[j] == p).all() for lane, p in zip(lanes, partner)):
+        i = np.flatnonzero(meets(1 << k, holds))
+        codes += meets(1 << k | adj[k], hits)
+        # Under the default mode="raise", take would buffer its output.
+        by_value = np.take(codes, order, out=more.view(np.uint8), mode="clip")
+        held, free = order[by_value == 2], order[by_value == 0]
+        if len(free) > size:
+            raise RuntimeError(f"{size} states contain arc slot {k}, not {len(free)}")
+        if len(free) < size or any(
+            (lane[held] ^ lane[free] != part).any() for lane, part in zip(lanes, parts(1 << k))
+        ):
             raise RuntimeError(f"a state without arc slot {k} is missing")
-        if len(i) != size:
-            raise RuntimeError(f"{len(i)} states contain arc slot {k}, not {size}")
+        partner[held] = free
         table = out[k] = flat[start:start + 2 * size]
-        table[:size], table[size:] = i, j
+        table[:size], table[size:] = i, partner[i]
         start += 2 * size
     return out
 

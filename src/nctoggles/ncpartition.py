@@ -368,7 +368,7 @@ class BlockPartition:
         return f"BlockPartition({self.n}, {[list(b) for b in self.blocks]})"
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _enum_masks_cached(n: int) -> Sequence[int]:
     return independent_sets(conflict_masks(n))
 
@@ -388,7 +388,8 @@ def enumerate_masks(n: int, limit: int | None = None) -> Sequence[int]:
     :data:`nctoggles.core.VECTOR_MIN_STATES`, a read-only
     :class:`nctoggles.core.PackedSets` of 8 B per set and 64-bit lane (one
     lane at n = 11, two from n = 12), against about 48 B per set in a
-    tuple.  The result is cached per n; callers must not mutate it.
+    tuple.  The result is cached per n, every n kept, since the ceiling
+    bounds n; callers must not mutate it.
     """
     _check_enum_limit(n, limit)
     if n < 0:

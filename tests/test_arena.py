@@ -5,7 +5,7 @@ arena that a later call overwrites."""
 import random
 import tracemalloc
 
-from nctoggles import cli, core, dynamics
+from nctoggles import dynamics
 from nctoggles.core import _orbit_sums_numpy, _pairs_python, _swap_pass, orbit_sums
 from nctoggles.dynamics import Statistic, check_homomesy
 from nctoggles.ncpartition import arc_index, arc_slots, catalan, conflict_masks, enumerate_masks
@@ -88,24 +88,3 @@ def test_numpy_sums_match_the_list_engine_on_seeded_permutations():
         assert _orbit_sums_numpy(np.array(perm, np.int32), arrays) == want
         assert _orbit_sums_numpy(np.array(perm, np.int64), []) == (want[0], [])
 
-
-@needs_numpy
-def test_an_engine_refusal_exits_2_with_one_error_line(capsys, monkeypatch):
-    # A repeated state gives two equal keys, as NC(16)'s folded two-lane
-    # keys can: the numpy engine refuses to build its swap tables.
-    real = dynamics.enumerate_masks
-
-    def repeated(n, limit=None):
-        states = tuple(real(n, limit))
-        return states + states[-1:]
-
-    monkeypatch.setattr(dynamics, "enumerate_masks", repeated)
-    # Tables built by earlier tests would skip the build; a refused build
-    # stores none.
-    core._pair_tables.cache_clear()
-    code = cli.main(["orbits", "11", "--sizes-only", "--word", row_word(11).to_text()])
-    out, err = capsys.readouterr()
-    assert (code, out) == (cli.PRECONDITION, "")
-    assert err.splitlines() == [
-        "error: two states share a 64-bit key, so the numpy engine cannot index them exactly"
-    ]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brute
-from nctoggles import core
+from nctoggles import core, verify
 from nctoggles.core import (
     SMALL_SUBTREE,
     VECTOR_MIN_STATES,
@@ -51,6 +51,14 @@ def test_nc_enumerations_pack_from_n_11():
             assert states[-3:] == want[-3:] and states[7:9] == want[7:9]
     finally:
         _enum_masks_cached.cache_clear()
+
+
+def test_a_second_arc_containment_check_enumerates_nothing():
+    # It walks n = 2..10, more values than a small LRU bound would keep.
+    assert verify.check_arc_containment_counts(10).passed
+    misses = _enum_masks_cached.cache_info().misses
+    assert verify.check_arc_containment_counts(10).passed
+    assert _enum_masks_cached.cache_info().misses == misses
 
 
 def _path(m):

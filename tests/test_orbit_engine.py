@@ -8,6 +8,7 @@ import subprocess
 import sys
 from array import array
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from nctoggles.core import (
     _swap_pass,
     _swap_pass_numpy,
     cycles,
+    independent_sets,
     toggle_pairs,
     vectorized,
 )
@@ -247,13 +249,27 @@ def numpy_engine(word):
     return cycles(states, image.tolist()), _cycle_sizes(image)
 
 
+def dense_graph(vertices=100, p=0.9, seed=1):
+    """A random graph on two lanes of vertices whose every pair is an edge
+    with probability ``p``: 805 independent sets by default."""
+    rng, adj = random.Random(seed), [0] * vertices
+    for v, w in combinations(range(vertices), 2):
+        if rng.random() < p:
+            adj[v] |= 1 << w
+            adj[w] |= 1 << v
+    return tuple(adj)
+
+
 @needs_numpy
 def test_numpy_tables_equal_the_pure_python_build():
-    # Every slot for n <= 11; at n = 12 the slots around the lane boundary.
-    cases = [(n, set(range(arc_slots(n)))) for n in range(12)] + [(12, {0, 63, 64, 65})]
-    for n, slots in cases:
-        states = enumerate_masks(n)
-        adj = conflict_masks(n)
+    # Every slot of NC(n) for n <= 12, and of a dense graph on two lanes of
+    # vertices (indsets.independent_set_masks takes at most 24).
+    cases = [(conflict_masks(n), enumerate_masks(n)) for n in range(13)]
+    adj = dense_graph()
+    cases.append((adj, independent_sets(adj)))
+    assert len(cases[-1][1]) == 805
+    for adj, states in cases:
+        slots = set(range(len(adj)))
         fast, slow = _pairs_numpy(adj, slots, states), _pairs_python(adj, slots, states)
         assert sorted(fast) == sorted(slow) == sorted(slots)
         for k in slots:
@@ -402,11 +418,26 @@ def test_a_small_verify_run_never_imports_numpy():
 
 
 @needs_numpy
+def test_numpy_tables_pair_states_whose_folded_lanes_collide():
+    # lo ^ hi * K is K for both the second and the last state: a search
+    # keyed by it cannot tell them apart, but their values differ.
+    K = 0x9E3779B97F4A7C15
+    states = PackedSets.of([0, K, K | 1 << 64, 1 << 64], 2)
+    tables = _pairs_numpy((0,) * 65, {64}, states)
+    assert {k: table.tolist() for k, table in tables.items()} == {64: [2, 3, 1, 0]}
+
+
+@needs_numpy
 def test_numpy_tables_fail_loudly_on_a_bad_state_list():
     states, slot = enumerate_masks(6), arc_index(6, (1, 6))
-    with pytest.raises(RuntimeError, match="share a 64-bit key"):
+    with pytest.raises(RuntimeError, match="listed twice"):
         _pairs_numpy(conflict_masks(6), {slot}, states + states[-1:])
     with pytest.raises(RuntimeError, match="without arc slot"):
         _pairs_numpy(conflict_masks(6), {slot}, states[1:])
+    # The empty set swapped for two crossing arcs, both free to take (1, 6):
+    # the counts still match, but a partner differs from its holder minus k.
+    crossing = 1 << arc_index(6, (2, 4)) | 1 << arc_index(6, (3, 5))
+    with pytest.raises(RuntimeError, match="without arc slot"):
+        _pairs_numpy(conflict_masks(6), {slot}, (crossing,) + states[1:])
     with pytest.raises(RuntimeError, match="contain arc slot"):
         _pairs_numpy(conflict_masks(6), {slot}, tuple(m for m in states if m != 1 << slot))
